@@ -34,6 +34,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use obs::fnv1a;
+
 /// Bundle on-disk format version. Bump on any incompatible change to the
 /// manifest or blob framing; readers refuse other versions with a clear
 /// error instead of mis-parsing.
@@ -47,16 +49,6 @@ const BLOBS_MAGIC: &str = "gullible-blobs";
 /// Separator between a manifest line's body and its checksum (cannot occur
 /// in payloads — [`BundleWriter::append_entry`] rejects it).
 const US: char = '\x1f';
-
-/// FNV-1a 64-bit — the workspace's standard content hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
 
 fn frame(body: &str) -> String {
     format!("{body}{US}{:016x}", fnv1a(body.as_bytes()))

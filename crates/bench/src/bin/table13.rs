@@ -3,7 +3,7 @@
 #![deny(deprecated)]
 
 use detect::corpus::{self, Technique};
-use detect::static_analysis::{pattern_matches, preprocess, StaticPattern};
+use detect::static_analysis::{preprocess, StaticPattern};
 use gullible::report::TextTable;
 
 fn main() {
@@ -25,8 +25,8 @@ fn main() {
     let mut table = TextTable::new("Table 13 — pattern precision over the evaluation corpus");
     table.header(&["pattern", "detector hits", "benign hits (FPs)", "paper: FP-prone"]);
     for pat in StaticPattern::all() {
-        let hits = detectors.iter().filter(|s| pattern_matches(*pat, &preprocess(s))).count();
-        let fps = benign.iter().filter(|s| pattern_matches(*pat, &preprocess(s))).count();
+        let hits = detectors.iter().filter(|s| pat.matches(&preprocess(s))).count();
+        let fps = benign.iter().filter(|s| pat.matches(&preprocess(s))).count();
         table.row(&[
             pat.name().to_string(),
             hits.to_string(),

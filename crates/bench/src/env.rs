@@ -23,8 +23,6 @@
 //! | `GULLIBLE_FAULT_SEED`     | u64   | `0xFA017`      | fault-plan seed, independent of the population seed |
 //! | `GULLIBLE_COMPILE_CACHE`  | bool  | 1              | share compiled scripts across workers (`0` disables; ablation) |
 //! | `GULLIBLE_COMPILE_SHARDS` | usize | 16             | mutex stripes in the compile cache (set before first use) |
-//! | `GULLIBLE_ENGINE`         | enum  | `vm`           | MiniJS execution backend: `vm` (bytecode) or `tree` (reference oracle); the `--engine=tree\|vm` CLI flag wins |
-//! | `GULLIBLE_MATCHER`        | enum  | `automaton`    | static-pattern match engine: `automaton` (compiled multi-pattern) or `naive` (per-pattern oracle); the `--matcher=naive\|automaton` CLI flag wins |
 //! | `GULLIBLE_BUNDLE`         | path  | unset          | crawl-bundle directory for `archive_record`/`archive_replay` (positional arg wins) |
 //! | `GULLIBLE_PROF`           | mode  | off            | phase profiler: `1` on, `collapsed` also prints a flamegraph-ready collapsed-stack dump |
 //! | `GULLIBLE_PROF_SLOW_US`   | u64   | 0              | slow-visit threshold in µs; visits at/above it dump a forensic record (`0` disables) |
@@ -119,34 +117,6 @@ pub fn compile_cache() -> bool {
 /// effect only if set before the cache's first use.
 pub fn compile_shards() -> usize {
     u64_knob("GULLIBLE_COMPILE_SHARDS", 16) as usize
-}
-
-/// `GULLIBLE_ENGINE` / `--engine=tree|vm` — the MiniJS execution backend
-/// (the flag wins over the env var). `jsengine` itself also reads the env
-/// var lazily — a documented exception to the parse-here-only rule, like
-/// [`FaultPlan::from_env`] — so library users outside the bench binaries
-/// get the same default; this function exists so binaries can *arm* the
-/// choice eagerly (and honour the CLI flag) before any realm is built.
-pub fn engine() -> jsengine::Engine {
-    let flag = std::env::args().find_map(|a| a.strip_prefix("--engine=").map(str::to_owned));
-    let v = flag.or_else(|| std::env::var("GULLIBLE_ENGINE").ok()).unwrap_or_default();
-    match v.trim() {
-        "tree" => jsengine::Engine::Tree,
-        _ => jsengine::Engine::Vm,
-    }
-}
-
-/// `GULLIBLE_MATCHER` / `--matcher=naive|automaton` — the static-pattern
-/// match engine (the flag wins over the env var). Like `GULLIBLE_ENGINE`,
-/// `detect` also reads the env var lazily on first use; this function lets
-/// binaries arm the choice eagerly and honour the CLI flag.
-pub fn matcher() -> detect::MatcherKind {
-    let flag = std::env::args().find_map(|a| a.strip_prefix("--matcher=").map(str::to_owned));
-    let v = flag.or_else(|| std::env::var("GULLIBLE_MATCHER").ok()).unwrap_or_default();
-    match v.trim().to_ascii_lowercase().as_str() {
-        "naive" => detect::MatcherKind::Naive,
-        _ => detect::MatcherKind::Automaton,
-    }
 }
 
 /// `GULLIBLE_BUNDLE` — crawl-bundle directory for the archive binaries.

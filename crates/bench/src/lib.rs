@@ -108,25 +108,10 @@ fn arm_compile_cache() {
     jsengine::set_cache_enabled(env::compile_cache());
 }
 
-/// Apply the execution-backend knob (`GULLIBLE_ENGINE`, the
-/// `--engine=tree|vm` flag) before any realm is built, so every
-/// interpreter the binary creates inherits it.
-fn arm_engine() {
-    jsengine::set_default_engine(env::engine());
-}
-
-/// Apply the static-matcher knob (`GULLIBLE_MATCHER`, the
-/// `--matcher=naive|automaton` flag) before any script is classified.
-fn arm_matcher() {
-    detect::set_default_matcher(env::matcher());
-}
-
 /// Print the run header every binary starts with (and arm telemetry).
 pub fn banner(what: &str) {
     arm_telemetry();
     arm_compile_cache();
-    arm_engine();
-    arm_matcher();
     let faults = env::fault_plan();
     let weather = if faults.is_inert() {
         String::new()
@@ -138,16 +123,8 @@ pub fn banner(what: &str) {
         )
     };
     let cache = if jsengine::cache_enabled() { "" } else { ", compile cache OFF" };
-    let engine = match jsengine::default_engine() {
-        jsengine::Engine::Vm => "",
-        jsengine::Engine::Tree => ", engine tree",
-    };
-    let matcher = match detect::default_matcher() {
-        detect::MatcherKind::Automaton => "",
-        detect::MatcherKind::Naive => ", matcher naive",
-    };
     println!(
-        "gullible reproduction — {what}\npopulation: {} sites, seed {}, {} workers{weather}{cache}{engine}{matcher}\n",
+        "gullible reproduction — {what}\npopulation: {} sites, seed {}, {} workers{weather}{cache}\n",
         env::sites(),
         env::seed(),
         env::workers()

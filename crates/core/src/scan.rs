@@ -16,6 +16,7 @@ use std::sync::{Arc, Mutex};
 use detect::DynamicClass;
 use netsim::url::etld1_of;
 use netsim::Url;
+use obs::fnv1a;
 use openwpm::{
     run_supervised_fallible, run_supervised_folding, Browser, BrowserConfig, CrashInjector,
     CrashPlan, CrawlHistoryRecord, CrawlSummary, FailureReason, FaultPlan, ItemMeta, RetryPolicy,
@@ -306,16 +307,6 @@ fn classify_page(
         }
     }
     flags
-}
-
-/// FNV-1a over bytes — the script-identity hash of the corpus statistics.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
 }
 
 fn attribute_script(script_url: &str, site_etld1: &str, record: &mut SiteScanRecord) {
@@ -678,7 +669,6 @@ pub struct Scan<'a> {
     replay_dir: Option<std::path::PathBuf>,
     stream_dir: Option<std::path::PathBuf>,
     crash: Option<CrashPlan>,
-    engine: Option<jsengine::Engine>,
     prior: Vec<Option<VisitOutcome<SiteScanRecord>>>,
     prior_attempts: Vec<u32>,
     #[allow(clippy::type_complexity)]
@@ -694,21 +684,10 @@ impl<'a> Scan<'a> {
             replay_dir: None,
             stream_dir: None,
             crash: None,
-            engine: None,
             prior: Vec::new(),
             prior_attempts: Vec::new(),
             on_complete: None,
         }
-    }
-
-    /// Select the MiniJS execution backend for this scan's realms
-    /// ([`jsengine::Engine::Vm`] by default, or whatever `GULLIBLE_ENGINE`
-    /// says). Both backends are observably identical — per-site records,
-    /// tables and the telemetry digest are byte-for-byte the same — so
-    /// this only changes how fast the interpretation phase runs.
-    pub fn engine(mut self, engine: jsengine::Engine) -> Scan<'a> {
-        self.engine = Some(engine);
-        self
     }
 
     /// Record the scan into a crawl bundle at `dir`: every served script
@@ -796,11 +775,6 @@ impl<'a> Scan<'a> {
     /// Execute the session. `Err` only for checkpoint/bundle I/O failures
     /// or an invalid mode combination.
     pub fn run(self) -> std::io::Result<ScanReport> {
-        if let Some(engine) = self.engine {
-            // Workers build realms via `Interp::new`/`clone_realm`, which
-            // read the process default — one write here covers every mode.
-            jsengine::set_default_engine(engine);
-        }
         if self.stream_dir.is_some() {
             return self.run_stream();
         }
@@ -1166,29 +1140,6 @@ impl Drop for ScopeMetricsGuard {
     fn drop(&mut self) {
         obs::set_scope_metrics(false);
     }
-}
-
-/// Run the full scan under the supervised executor (no checkpointing).
-#[deprecated(note = "use the `Scan` builder: `Scan::new(cfg).run()`")]
-pub fn run_scan(cfg: ScanConfig) -> ScanReport {
-    Scan::new(cfg).run().expect("scan without checkpoint cannot fail")
-}
-
-/// Supervised scan with explicit resume state and a completion callback.
-#[deprecated(
-    note = "use the `Scan` builder: `Scan::new(cfg).resume_from(prior, attempts).on_complete(f).run()`"
-)]
-pub fn run_scan_supervised(
-    cfg: ScanConfig,
-    prior: Vec<Option<VisitOutcome<SiteScanRecord>>>,
-    prior_attempts: &[u32],
-    on_complete: &(impl Fn(usize, &VisitOutcome<SiteScanRecord>, u32) + Sync),
-) -> ScanReport {
-    Scan::new(cfg)
-        .resume_from(prior, prior_attempts.to_vec())
-        .on_complete(on_complete)
-        .run()
-        .expect("scan without checkpoint cannot fail")
 }
 
 /// Where a scan's site content comes from: the deterministic generator
@@ -1829,12 +1780,6 @@ fn write_checkpoint_header_atomic(path: &Path) -> std::io::Result<()> {
 fn create_stream_checkpoint(path: &Path) -> std::io::Result<std::fs::File> {
     write_checkpoint_header_atomic(path)?;
     std::fs::OpenOptions::new().append(true).open(path)
-}
-
-/// Run a scan with durable checkpointing.
-#[deprecated(note = "use the `Scan` builder: `Scan::new(cfg).checkpoint(path).run()`")]
-pub fn run_scan_with_checkpoint(cfg: ScanConfig, path: &Path) -> std::io::Result<ScanReport> {
-    Scan::new(cfg).checkpoint(path).run()
 }
 
 #[cfg(test)]

@@ -7,32 +7,18 @@
 //! `navigator["webdriver"]` forms do not. All evaluated patterns are
 //! implemented so Table 13 can be regenerated.
 //!
-//! Two interchangeable match engines drive the patterns ([`MatcherKind`]):
-//!
-//! * **Naive** — the paper-literal reference: every pattern runs its own
-//!   [`StaticPattern::matches`] pass over the preprocessed source
-//!   (O(patterns × bytes) per script).
-//! * **Automaton** (default) — all patterns of a set compiled once into a
-//!   [`matcher::CompiledMatcher`] (Aho-Corasick trie → failure links →
-//!   dense byte-class DFA); each script is scanned in a single pass, with
-//!   anchored-pattern guards (the undelimited-`webdriver` neighbour check)
-//!   confirmed per candidate hit so verdicts stay byte-for-byte equal to
-//!   the naive engine. Two sets are compiled separately: the production
-//!   set [`classify_with`] uses and the full Table 13 ablation set behind
-//!   [`pattern_matches`].
+//! Each pattern runs its own [`StaticPattern::matches`] pass over the
+//! preprocessed source — the paper-literal formulation.
 //!
 //! Per-script verdicts are additionally memoised by FNV-64 body hash
 //! ([`classify_memo`]): scripts are shared across sites and subpages, so
 //! each distinct body is preprocessed and scanned once per process. The
-//! `match.*` metrics (scripts, bytes, candidate/confirmed hits, memo
-//! hit/miss) are digest-excluded like `cache.*` — worker scheduling moves
-//! the memo hit/miss split around, never the verdicts.
+//! `match.*` metrics (scripts, bytes, memo hit/miss) are digest-excluded
+//! like `cache.*` — worker scheduling moves the memo hit/miss split
+//! around, never the verdicts.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-use matcher::{CompiledMatcher, PatternDef};
 
 /// The patterns evaluated in Appx. B (Table 13), in paper order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -116,131 +102,6 @@ fn find_all(haystack: &str, needle: &str) -> Vec<usize> {
         start += i + 1;
     }
     out
-}
-
-// --------------------------------------------------------- match engines
-
-/// Which engine drives the static patterns. Both produce byte-identical
-/// verdicts (the ablation suites assert it); the automaton is the
-/// throughput backend, the naive engine the paper-literal oracle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MatcherKind {
-    /// Independent per-pattern `contains`-style passes (reference oracle).
-    Naive,
-    /// One compiled multi-pattern automaton pass per script (default).
-    Automaton,
-}
-
-/// Process-wide default engine: 0 = undecided, 1 = naive, 2 = automaton.
-static MATCHER: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide default match engine, picked up by every
-/// subsequent [`classify`]/[`classify_memo`]/[`pattern_matches`] call.
-pub fn set_default_matcher(k: MatcherKind) {
-    MATCHER.store(
-        match k {
-            MatcherKind::Naive => 1,
-            MatcherKind::Automaton => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The process-wide default match engine. First use consults
-/// `GULLIBLE_MATCHER` (`naive` selects the oracle; anything else, or
-/// unset, the automaton). Like `GULLIBLE_ENGINE` in `jsengine`, this is a
-/// documented exception to the rule that only `bench::env` parses
-/// `GULLIBLE_*` names: the engine must flip for plain `cargo test` runs
-/// too, where the bench knob layer never runs.
-pub fn default_matcher() -> MatcherKind {
-    match MATCHER.load(Ordering::Relaxed) {
-        1 => MatcherKind::Naive,
-        2 => MatcherKind::Automaton,
-        _ => {
-            let k = match std::env::var("GULLIBLE_MATCHER")
-                .ok()
-                .map(|v| v.to_ascii_lowercase())
-                .as_deref()
-            {
-                Some("naive") => MatcherKind::Naive,
-                _ => MatcherKind::Automaton,
-            };
-            set_default_matcher(k);
-            k
-        }
-    }
-}
-
-/// The literal set and anchor guard implementing one Table 13 pattern in
-/// the automaton — the semantic layer that keeps compiled matching in
-/// exact parity with [`StaticPattern::matches`].
-fn pattern_def(p: StaticPattern) -> PatternDef {
-    match p {
-        StaticPattern::WebdriverLiteral => PatternDef::substring("webdriver"),
-        StaticPattern::InstrumentFingerprintingApis => {
-            PatternDef::substring("instrumentFingerprintingApis")
-        }
-        StaticPattern::GetInstrumentJs => PatternDef::substring("getInstrumentJS"),
-        StaticPattern::JsInstruments => PatternDef::substring("jsInstruments"),
-        StaticPattern::WebdriverUndelimited => PatternDef::undelimited("webdriver", b"_-"),
-        StaticPattern::NavigatorDotWebdriver => PatternDef::substring("navigator.webdriver"),
-        StaticPattern::NavigatorIndexedWebdriver => {
-            PatternDef::alternation(&[r#"navigator["webdriver"]"#, "navigator['webdriver']"])
-        }
-    }
-}
-
-/// The production pattern set [`classify_with`] drives: the five
-/// precision patterns behind [`StaticFinding`], plus the naive bare
-/// literal that feeds the `static_identified` (false-positive-prone)
-/// column of Table 5. Order defines the automaton's result bits.
-const PRODUCTION_SET: &[StaticPattern] = &[
-    StaticPattern::NavigatorDotWebdriver,
-    StaticPattern::NavigatorIndexedWebdriver,
-    StaticPattern::GetInstrumentJs,
-    StaticPattern::InstrumentFingerprintingApis,
-    StaticPattern::JsInstruments,
-    StaticPattern::WebdriverLiteral,
-];
-
-/// Compile a pattern set under the `detect.static.build` phase, counting
-/// the catalogue size once per compiled set.
-fn build_set(pats: &[StaticPattern]) -> CompiledMatcher {
-    let _ph = obs::prof::enter(&obs::prof::DETECT_STATIC_BUILD);
-    let defs: Vec<PatternDef> = pats.iter().map(|p| pattern_def(*p)).collect();
-    let m = CompiledMatcher::build(&defs);
-    obs::add("match.patterns", pats.len() as u64);
-    m
-}
-
-fn production_matcher() -> &'static CompiledMatcher {
-    static M: OnceLock<CompiledMatcher> = OnceLock::new();
-    M.get_or_init(|| build_set(PRODUCTION_SET))
-}
-
-fn table13_matcher() -> &'static CompiledMatcher {
-    static M: OnceLock<CompiledMatcher> = OnceLock::new();
-    M.get_or_init(|| build_set(StaticPattern::all()))
-}
-
-/// Match one Table 13 pattern against preprocessed source under an
-/// explicit engine — the ablation entry point Table 13 regeneration uses.
-pub fn pattern_matches_with(kind: MatcherKind, pat: StaticPattern, pre: &str) -> bool {
-    match kind {
-        MatcherKind::Naive => pat.matches(pre),
-        MatcherKind::Automaton => {
-            let idx = StaticPattern::all()
-                .iter()
-                .position(|p| *p == pat)
-                .expect("every pattern is in the Table 13 set");
-            table13_matcher().scan(pre).matched(idx)
-        }
-    }
-}
-
-/// [`pattern_matches_with`] under the process default engine.
-pub fn pattern_matches(pat: StaticPattern, pre: &str) -> bool {
-    pattern_matches_with(default_matcher(), pat, pre)
 }
 
 /// Preprocess a script: decode `\xNN` / `\uNNNN` escapes and strip
@@ -419,9 +280,10 @@ pub struct ScriptVerdict {
     pub naive_webdriver: bool,
 }
 
-/// Evaluate the production set over preprocessed source with independent
-/// per-pattern passes (the reference oracle).
-fn verdict_naive(pre: &str) -> ScriptVerdict {
+/// Evaluate the production set over preprocessed source: the five
+/// precision patterns behind [`StaticFinding`], plus the bare literal that
+/// feeds the `static_identified` (false-positive-prone) column of Table 5.
+fn verdict(pre: &str) -> ScriptVerdict {
     let selenium = StaticPattern::NavigatorDotWebdriver.matches(pre)
         || StaticPattern::NavigatorIndexedWebdriver.matches(pre);
     let mut openwpm_props = Vec::new();
@@ -438,57 +300,15 @@ fn verdict_naive(pre: &str) -> ScriptVerdict {
     ScriptVerdict { finding: StaticFinding { selenium, openwpm_props }, naive_webdriver }
 }
 
-/// Evaluate the production set in one automaton pass. Bit positions follow
-/// [`PRODUCTION_SET`]; the property-name push order matches
-/// [`verdict_naive`] exactly so verdicts compare equal structurally.
-fn verdict_automaton(pre: &str) -> ScriptVerdict {
-    let set = production_matcher().scan(pre);
-    obs::add("match.candidate_hits", set.stats.candidate_hits);
-    obs::add("match.confirmed_hits", set.stats.confirmed_hits);
-    let selenium = set.matched(0) || set.matched(1);
-    let mut openwpm_props = Vec::new();
-    for (idx, name) in [
-        (2, "getInstrumentJS"),
-        (3, "instrumentFingerprintingApis"),
-        (4, "jsInstruments"),
-    ] {
-        if set.matched(idx) {
-            openwpm_props.push(name);
-        }
-    }
-    ScriptVerdict {
-        finding: StaticFinding { selenium, openwpm_props },
-        naive_webdriver: set.matched(5),
-    }
-}
-
-/// Matching-only entry point over *already preprocessed* source — the
-/// timed region of `bench --bin ablation_matcher` (preprocessing is
-/// engine-independent and excluded from the throughput comparison).
-pub fn match_preprocessed(kind: MatcherKind, pre: &str) -> ScriptVerdict {
-    match kind {
-        MatcherKind::Naive => verdict_naive(pre),
-        MatcherKind::Automaton => verdict_automaton(pre),
-    }
-}
-
-/// Classify one script under an explicit engine: preprocess, then one
-/// scan of the production set.
-pub fn classify_with(kind: MatcherKind, src: &str) -> ScriptVerdict {
+/// Classify one script (not memoised): preprocess, then match the
+/// production set.
+pub fn classify(src: &str) -> ScriptVerdict {
     let _ph = obs::prof::enter(&obs::prof::DETECT_STATIC);
     let pre = preprocess(src);
     let _ps = obs::prof::enter(&obs::prof::DETECT_STATIC_SCAN);
     obs::add("match.scripts", 1);
     obs::add("match.bytes", pre.len() as u64);
-    match kind {
-        MatcherKind::Naive => verdict_naive(&pre),
-        MatcherKind::Automaton => verdict_automaton(&pre),
-    }
-}
-
-/// Classify one script under the process default engine (not memoised).
-pub fn classify(src: &str) -> ScriptVerdict {
-    classify_with(default_matcher(), src)
+    verdict(&pre)
 }
 
 const MEMO_STRIPES: usize = 16;

@@ -1,9 +1,6 @@
 //! Property-based tests for the analysis pipelines.
 
-use detect::static_analysis::{
-    analyse, decode_escapes, pattern_matches_with, preprocess, strip_comments, StaticPattern,
-};
-use detect::{classify_with, MatcherKind};
+use detect::static_analysis::{analyse, decode_escapes, preprocess, strip_comments};
 use proplite::{run_cases, Rng};
 
 /// Hex-encode every character of `s` as `\xNN` escapes.
@@ -77,113 +74,6 @@ fn commented_probes_are_ignored() {
         let pad = rng.string_of("abcdefghijklmnopqrstuvwxyz ;", 0, 50);
         let src = format!("// navigator.webdriver {pad}\nvar x = 1;");
         assert!(!analyse(&src).selenium);
-    });
-}
-
-/// Build a random script from pattern fragments, near misses, benign
-/// filler, strings and comments — the adversarial input space for the
-/// naive-vs-automaton differential below.
-fn random_script(rng: &mut Rng) -> String {
-    const FRAGMENTS: &[&str] = &[
-        // Real pattern literals (and delimited variants the anchored
-        // undelimited pattern must reject).
-        "webdriver",
-        "_webdriver",
-        "webdriver_",
-        "-webdriver-",
-        "navigator.webdriver",
-        "navigator['webdriver']",
-        "navigator[\"webdriver\"]",
-        "getInstrumentJS",
-        "instrumentFingerprintingApis",
-        "jsInstruments",
-        // Near misses: prefixes that break off one character early, and
-        // overlapping/prefix-sharing fragments.
-        "webdrive",
-        "webdrivex",
-        "wwebdriver",
-        "navigator.webdrive",
-        "navigator['webdrivex']",
-        "getInstrumentJs",
-        "instrumentFingerprintingApi",
-        "jsInstrument",
-        "webweb",
-        "navnavigator",
-    ];
-    let mut src = String::new();
-    for _ in 0..rng.usize_in(0, 12) {
-        match rng.usize_in(0, 5) {
-            // Bare fragment in code position.
-            0 => src.push_str(FRAGMENTS[rng.usize_in(0, FRAGMENTS.len())]),
-            // Fragment inside a string literal.
-            1 => {
-                let q = if rng.bool() { '"' } else { '\'' };
-                src.push(q);
-                src.push_str(FRAGMENTS[rng.usize_in(0, FRAGMENTS.len())]);
-                src.push(q);
-            }
-            // Fragment inside a comment (stripped before matching).
-            2 => {
-                if rng.bool() {
-                    src.push_str("/* ");
-                    src.push_str(FRAGMENTS[rng.usize_in(0, FRAGMENTS.len())]);
-                    src.push_str(" */");
-                } else {
-                    src.push_str("// ");
-                    src.push_str(FRAGMENTS[rng.usize_in(0, FRAGMENTS.len())]);
-                    src.push('\n');
-                }
-            }
-            // Hex-escaped fragment (decoded before matching).
-            3 => src.push_str(&hex_escape(FRAGMENTS[rng.usize_in(0, FRAGMENTS.len())])),
-            // Benign filler.
-            _ => src.push_str(&rng.string_of("abcdefghij ;=(){}\n'\"", 0, 30)),
-        }
-        src.push_str(if rng.bool() { " " } else { ";" });
-    }
-    src
-}
-
-/// The tentpole differential: on random scripts full of embedded and
-/// near-miss pattern fragments in code/string/comment contexts, the naive
-/// per-pattern oracle and the compiled automaton agree on every Table 13
-/// pattern and on the full production verdict.
-#[test]
-fn naive_and_automaton_verdicts_agree() {
-    run_cases(400, 0xDE84, |rng: &mut Rng| {
-        let src = random_script(rng);
-        let pre = preprocess(&src);
-        for pat in StaticPattern::all() {
-            assert_eq!(
-                pattern_matches_with(MatcherKind::Naive, *pat, &pre),
-                pattern_matches_with(MatcherKind::Automaton, *pat, &pre),
-                "engines disagree on {:?} over {pre:?}",
-                pat
-            );
-        }
-        assert_eq!(
-            classify_with(MatcherKind::Naive, &src),
-            classify_with(MatcherKind::Automaton, &src),
-            "production verdicts disagree over {src:?}"
-        );
-    });
-}
-
-/// The differential also holds on fully arbitrary ASCII (no fragment
-/// structure at all).
-#[test]
-fn engines_agree_on_arbitrary_ascii() {
-    run_cases(400, 0xDE85, |rng: &mut Rng| {
-        let src = rng.ascii(0, 200);
-        let pre = preprocess(&src);
-        for pat in StaticPattern::all() {
-            assert_eq!(
-                pattern_matches_with(MatcherKind::Naive, *pat, &pre),
-                pattern_matches_with(MatcherKind::Automaton, *pat, &pre),
-                "engines disagree on {:?} over {pre:?}",
-                pat
-            );
-        }
     });
 }
 

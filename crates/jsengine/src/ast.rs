@@ -2,6 +2,8 @@
 
 use std::sync::Arc;
 
+use crate::atom::Atom;
+
 /// Binary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BinOp {
@@ -55,7 +57,8 @@ pub enum AssignOp {
 /// Assignment / update targets.
 #[derive(Clone, Debug)]
 pub enum Target {
-    Ident(Arc<str>),
+    /// A variable, with its name interned at parse time.
+    Ident(Arc<str>, Atom),
     /// `obj.key` — key resolved at parse time.
     Member(Box<Expr>, Arc<str>),
     /// `obj[expr]`.
@@ -71,7 +74,9 @@ pub enum Expr {
     Null,
     Undefined,
     This,
-    Ident(Arc<str>),
+    /// A variable reference. The name is interned at parse time, so scope
+    /// lookups compare integer atoms instead of hashing the string.
+    Ident(Arc<str>, Atom),
     /// Array literal.
     Array(Vec<Expr>),
     /// Object literal: `(key, value)` pairs.

@@ -15,9 +15,8 @@ use crate::value::{number_to_string, Value};
 /// Invoke a native function, recording the per-builtin dispatch count.
 ///
 /// This is the one funnel for builtin dispatch — [`Interp::call`] routes
-/// every `Callable::Native` through here for *both* execution backends, so
-/// `GULLIBLE_PROF=collapsed` flamegraphs carry identical `builtin.<name>`
-/// leaves whether the caller was the tree-walker or the bytecode VM.
+/// every `Callable::Native` through here, so `GULLIBLE_PROF=collapsed`
+/// flamegraphs carry one `builtin.<name>` leaf per native.
 pub(crate) fn dispatch_native(
     interp: &mut Interp,
     name: &Arc<str>,

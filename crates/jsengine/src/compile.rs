@@ -21,45 +21,32 @@
 //! scan workers rarely contend, and eviction-free: growth is bounded by the
 //! number of unique `(body, name)` pairs in the workload, which the
 //! population generator keeps small. Telemetry lands on the
-//! `cache.compile.{hit,miss,bytes}` counters; those are *excluded* from the
-//! snapshot digest (see `obs::metrics`), because the digest must be
-//! byte-identical with the cache on and off.
+//! `cache.compile.{hit,miss,bytes,race}` counters; those are *excluded*
+//! from the snapshot digest (see `obs::metrics`), because the digest must
+//! be byte-identical with the cache on and off.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use obs::fnv1a;
+
 use crate::ast::Program;
 use crate::error::EngineError;
 use crate::parser::parse;
 
-/// FNV-1a over bytes — the same content-identity hash the scan's corpus
-/// statistics use.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
-
-/// An opaque, shared compiled-script handle: the parse artifact, the
-/// identity it was compiled under, and a lazily-populated bytecode slot.
+/// An opaque, shared compiled-script handle: the parse artifact and the
+/// identity it was compiled under.
 ///
 /// Handles are passed around as `Arc<CompiledScript>` (the cache hands out
-/// one `Arc` per unique `(body, name)`), so the once-compiled
-/// [`ScriptChunk`](crate::bytecode::ScriptChunk) in [`chunk`] is shared by
-/// every worker in the process exactly like the AST is.
+/// one `Arc` per unique `(body, name)`), so the AST is shared by every
+/// worker in the process.
 #[derive(Debug)]
 pub struct CompiledScript {
     name: Arc<str>,
     body_hash: u64,
     source_len: usize,
     program: Arc<Program>,
-    /// Bytecode, compiled on first use by a VM-backend realm (tree-walker
-    /// runs never pay for it).
-    chunk: OnceLock<Arc<crate::bytecode::ScriptChunk>>,
 }
 
 impl CompiledScript {
@@ -78,25 +65,9 @@ impl CompiledScript {
         self.source_len
     }
 
-    /// The shared parsed program (the tree-walker's execution artifact).
+    /// The shared parsed program.
     pub fn ast(&self) -> &Arc<Program> {
         &self.program
-    }
-
-    /// The shared parsed program.
-    #[deprecated(note = "use `ast()` (or `chunk()` for the VM backend) on the opaque handle")]
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// The script's bytecode, compiled exactly once per handle no matter
-    /// how many realms race here (`OnceLock`); losers of the race drop
-    /// their work and share the winner's chunk.
-    pub fn chunk(&self) -> &Arc<crate::bytecode::ScriptChunk> {
-        self.chunk.get_or_init(|| {
-            let _ph = obs::prof::enter(&obs::prof::JS_COMPILE_BC);
-            Arc::new(crate::bytecode::compile_program(&self.program))
-        })
     }
 }
 
@@ -108,7 +79,6 @@ pub fn compile(src: &str, name: &str) -> Result<Arc<CompiledScript>, EngineError
         body_hash: fnv1a(src.as_bytes()),
         source_len: src.len(),
         program,
-        chunk: OnceLock::new(),
     }))
 }
 
@@ -127,9 +97,6 @@ type Shard = Mutex<HashMap<(u64, u64), Arc<CompiledScript>>>;
 
 /// A sharded (mutex-striped) compilation cache mapping
 /// `(FNV-64(body), FNV-64(name))` to the shared [`CompiledScript`] handle.
-/// Storing the whole handle (not just the `Program`) means the lazily
-/// compiled bytecode slot is shared across workers too: the second realm to
-/// run a script under the VM backend finds the chunk already populated.
 pub struct CompileCache {
     shards: Box<[Shard]>,
     hits: AtomicU64,
@@ -156,7 +123,10 @@ impl CompileCache {
     /// Look up `(src, name)`; parse and insert on miss. Parsing happens
     /// outside the shard lock, so a pathological script cannot stall other
     /// workers; concurrent first compiles of the same body may both parse,
-    /// but only one artifact is retained.
+    /// but only one artifact is retained. Only the thread whose artifact
+    /// is inserted counts a miss, so `misses == entries`; a thread that
+    /// loses the race is served the winner's handle and counts a hit plus
+    /// `cache.compile.race` (its parse was discarded).
     pub fn get_or_compile(&self, src: &str, name: &str) -> Result<Arc<CompiledScript>, EngineError> {
         let key = (fnv1a(src.as_bytes()), fnv1a(name.as_bytes()));
         if let Some(cs) = self.shard(key).lock().unwrap().get(&key).cloned() {
@@ -171,16 +141,21 @@ impl CompileCache {
             body_hash: key.0,
             source_len: src.len(),
             program: Arc::new(parse(src, name)?),
-            chunk: OnceLock::new(),
         });
         let cs = {
             let mut guard = self.shard(key).lock().unwrap();
             guard.entry(key).or_insert_with(|| parsed.clone()).clone()
         };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(src.len() as u64, Ordering::Relaxed);
-        obs::add("cache.compile.miss", 1);
-        obs::add("cache.compile.bytes", src.len() as u64);
+        if Arc::ptr_eq(&cs, &parsed) {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.bytes.fetch_add(src.len() as u64, Ordering::Relaxed);
+            obs::add("cache.compile.miss", 1);
+            obs::add("cache.compile.bytes", src.len() as u64);
+        } else {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            obs::add("cache.compile.hit", 1);
+            obs::add("cache.compile.race", 1);
+        }
         Ok(cs)
     }
 
@@ -327,25 +302,26 @@ mod tests {
     }
 
     #[test]
-    fn racing_realms_share_one_lazily_compiled_chunk() {
-        // Two threads hitting the cold bytecode slot of one handle must end
-        // up with the same chunk — the loser of the `OnceLock` race drops
-        // its compile and adopts the winner's.
-        let cs = compile("function f(n) { return n + 1; } f(1)", "race.js").unwrap();
-        let barrier = std::sync::Barrier::new(2);
-        let (a, b) = std::thread::scope(|s| {
-            let ta = s.spawn(|| {
-                barrier.wait();
-                Arc::as_ptr(cs.chunk()) as usize
-            });
-            let tb = s.spawn(|| {
-                barrier.wait();
-                Arc::as_ptr(cs.chunk()) as usize
-            });
-            (ta.join().unwrap(), tb.join().unwrap())
+    fn racing_first_compiles_count_one_miss() {
+        // Threads released together on a cold key may all parse; only the
+        // inserted artifact counts as a miss, the rest are served as hits.
+        let cache = CompileCache::with_shards(1);
+        let barrier = std::sync::Barrier::new(4);
+        let handles: Vec<_> = std::thread::scope(|s| {
+            let ts: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.get_or_compile("var r = 1; r + 1", "race.js").unwrap()
+                    })
+                })
+                .collect();
+            ts.into_iter().map(|t| t.join().unwrap()).collect()
         });
-        assert_eq!(a, b, "both realms must observe the same compiled chunk");
-        assert_eq!(a, Arc::as_ptr(cs.chunk()) as usize);
+        assert!(handles.iter().all(|h| Arc::ptr_eq(h, &handles[0])));
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.entries), (1, 3, 1));
+        assert_eq!(s.bytes, "var r = 1; r + 1".len() as u64);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub struct Intrinsics {
 }
 
 /// Statement completion.
-pub(crate) enum Flow {
+enum Flow {
     Normal,
     Return(Value),
     Break,
@@ -109,21 +109,6 @@ pub struct Interp {
     /// capturing it at install time — which is what makes an installed
     /// realm reusable as a [`clone_realm`](Interp::clone_realm) template.
     pub host: Option<Rc<dyn std::any::Any>>,
-    /// Execution backend for script code (tree-walking oracle or bytecode
-    /// VM). Initialised from [`crate::vm::default_engine`]; hosts may flip
-    /// it per realm before running scripts.
-    pub engine: crate::vm::Engine,
-    /// Memoised function-body chunks for the VM, keyed by the address of
-    /// the pinned [`FunctionDef`] `Arc` (the entry holds the `Arc`, so the
-    /// address cannot be reused while the memo lives). Seeded from a cached
-    /// script's [`ScriptChunk`](crate::bytecode::ScriptChunk); functions
-    /// born outside one (via raw source or `eval`) compile lazily on first
-    /// call.
-    fn_chunks: std::collections::HashMap<usize, (Arc<FunctionDef>, Arc<crate::bytecode::Chunk>)>,
-    /// Spare value stacks for [`crate::vm::run_chunk`] activations, so a
-    /// VM function call does not pay a heap allocation per invocation
-    /// (recursion depth bounds the pool size).
-    pub(crate) vm_stacks: Vec<Vec<Value>>,
 }
 
 impl Default for Interp {
@@ -182,9 +167,6 @@ impl Interp {
             rng_state: 0x9E3779B97F4A7C15,
             profiler: None,
             host: None,
-            engine: crate::vm::default_engine(),
-            fn_chunks: std::collections::HashMap::new(),
-            vm_stacks: Vec::new(),
         };
         crate::builtins::install(&mut interp);
         interp
@@ -236,11 +218,6 @@ impl Interp {
             rng_state: 0x9E3779B97F4A7C15,
             profiler: None,
             host: None,
-            // Re-read at clone time, so templates built before the host
-            // picked a backend still produce pages on the current one.
-            engine: crate::vm::default_engine(),
-            fn_chunks: self.fn_chunks.clone(),
-            vm_stacks: Vec::new(),
         }
     }
 
@@ -256,23 +233,13 @@ impl Interp {
     /// Execute a pre-compiled script artifact. The shared
     /// [`Program`](crate::ast::Program) is never mutated, so one
     /// [`CompiledScript`](crate::compile::CompiledScript) can serve every
-    /// interpreter in the process. Under the VM backend this reuses the
-    /// script's once-compiled bytecode chunk (compiling it on first use).
+    /// interpreter in the process.
     pub fn eval_compiled(
         &mut self,
         compiled: &crate::compile::CompiledScript,
     ) -> Result<Value, EngineError> {
-        match self.engine {
-            crate::vm::Engine::Vm => {
-                let chunks = compiled.chunk().clone();
-                let program = compiled.ast().clone();
-                self.eval_program_vm(&chunks, &program, compiled.name())
-            }
-            crate::vm::Engine::Tree => {
-                let program = compiled.ast().clone();
-                self.eval_program_tree(&program, compiled.name())
-            }
-        }
+        let program = compiled.ast().clone();
+        self.eval_program(&program, compiled.name())
     }
 
     /// Execute either form of [`ScriptSource`](crate::compile::ScriptSource):
@@ -289,32 +256,7 @@ impl Interp {
     }
 
     /// Execute an already-parsed top-level program under `script_name`.
-    ///
-    /// This is the single backend dispatch point: everything above it —
-    /// [`eval_script`](Interp::eval_script),
-    /// [`eval_source`](Interp::eval_source), `Page::run_script`, the visit
-    /// loop — is engine-agnostic, and the [`Engine`](crate::vm::Engine)
-    /// chosen here (plus the matching branch in [`Interp::call`]) decides
-    /// how statements actually execute.
     pub fn eval_program(
-        &mut self,
-        program: &crate::ast::Program,
-        script_name: &Arc<str>,
-    ) -> Result<Value, EngineError> {
-        match self.engine {
-            crate::vm::Engine::Vm => {
-                // Uncached path: compile on the spot. Cached scripts come
-                // through `eval_compiled`, which reuses the shared chunk.
-                let chunks = crate::bytecode::compile_program(program);
-                self.eval_program_vm(&chunks, program, script_name)
-            }
-            crate::vm::Engine::Tree => self.eval_program_tree(program, script_name),
-        }
-    }
-
-    /// Tree-walking backend for [`eval_program`](Interp::eval_program) —
-    /// the reference oracle the VM is held byte-identical to.
-    fn eval_program_tree(
         &mut self,
         program: &crate::ast::Program,
         script_name: &Arc<str>,
@@ -351,55 +293,6 @@ impl Interp {
             None => Ok(last),
             Some(t) => Err(self.thrown_to_error(t)),
         }
-    }
-
-    /// Bytecode backend for [`eval_program`](Interp::eval_program): same
-    /// frame, hoisting and error paths as the oracle, with the statement
-    /// walk replaced by [`crate::vm::run_chunk`].
-    fn eval_program_vm(
-        &mut self,
-        chunks: &crate::bytecode::ScriptChunk,
-        program: &crate::ast::Program,
-        script_name: &Arc<str>,
-    ) -> Result<Value, EngineError> {
-        // Seed the function-chunk memo so calls skip the lazy compile.
-        for (def, chunk) in &chunks.fns {
-            self.fn_chunks
-                .entry(Arc::as_ptr(def) as usize)
-                .or_insert_with(|| (def.clone(), chunk.clone()));
-        }
-        self.stack.push(Frame {
-            name: Arc::from("(toplevel)"),
-            script: script_name.clone(),
-            line: 1,
-        });
-        let scope = self.global_scope.clone();
-        // Hoist function declarations (identical to the oracle).
-        for stmt in &program.body {
-            if let Stmt::FunctionDecl(def) = stmt {
-                let f = self.alloc_script_fn(def.clone(), scope.clone());
-                self.define_global(def.name.clone(), Value::Obj(f));
-            }
-        }
-        let r = crate::vm::run_chunk(self, &chunks.top, &scope);
-        self.stack.pop();
-        r.map_err(|t| self.thrown_to_error(t))
-    }
-
-    /// The VM chunk for a function body: memo hit, else compile lazily
-    /// (functions defined by raw source or `eval` have no cached script to
-    /// carry their bytecode).
-    pub(crate) fn function_chunk(
-        &mut self,
-        def: &Arc<FunctionDef>,
-    ) -> Arc<crate::bytecode::Chunk> {
-        let key = Arc::as_ptr(def) as usize;
-        if let Some((_, chunk)) = self.fn_chunks.get(&key) {
-            return chunk.clone();
-        }
-        let chunk = Arc::new(crate::bytecode::compile_function(def));
-        self.fn_chunks.insert(key, (def.clone(), chunk.clone()));
-        chunk
     }
 
     /// Execute all pending jobs that are due at or before the (advanced)
@@ -783,9 +676,6 @@ impl Interp {
         }
         match callable {
             Callable::Native { name, f } => {
-                // The per-builtin dispatch counter lives in the shared
-                // builtins layer, so both engines record identical
-                // `builtin.<name>` leaves.
                 crate::builtins::dispatch_native(self, &name, &f, this, args)
             }
             Callable::Script { def, env } => {
@@ -818,35 +708,28 @@ impl Interp {
                     script: def.script.clone(),
                     line: def.line,
                 });
-                // Hoist inner function declarations (shared by both
-                // engines, so allocation order is identical).
+                // Hoist inner function declarations.
                 for stmt in def.body.iter() {
                     if let Stmt::FunctionDecl(d) = stmt {
                         let f = self.alloc_script_fn(d.clone(), scope.clone());
                         scope.borrow_mut().vars.insert(Atom::intern_arc(&d.name), Value::Obj(f));
                     }
                 }
-                let result = if self.engine == crate::vm::Engine::Vm {
-                    let chunk = self.function_chunk(&def);
-                    crate::vm::run_chunk(self, &chunk, &scope)
-                } else {
-                    let mut result = Ok(Value::Undefined);
-                    for stmt in def.body.iter() {
-                        match self.exec_stmt(stmt, &scope) {
-                            Ok(Flow::Normal) => {}
-                            Ok(Flow::Return(v)) => {
-                                result = Ok(v);
-                                break;
-                            }
-                            Ok(Flow::Break) | Ok(Flow::Continue) => {}
-                            Err(t) => {
-                                result = Err(t);
-                                break;
-                            }
+                let mut result = Ok(Value::Undefined);
+                for stmt in def.body.iter() {
+                    match self.exec_stmt(stmt, &scope) {
+                        Ok(Flow::Normal) => {}
+                        Ok(Flow::Return(v)) => {
+                            result = Ok(v);
+                            break;
+                        }
+                        Ok(Flow::Break) | Ok(Flow::Continue) => {}
+                        Err(t) => {
+                            result = Err(t);
+                            break;
                         }
                     }
-                    result
-                };
+                }
                 self.stack.pop();
                 result
             }
@@ -898,26 +781,6 @@ impl Interp {
         }
     }
 
-    /// Charge `n` coalesced steps (the VM batches pure-node charges into
-    /// one budget check). The fast path cannot cross the limit; when it
-    /// would, fall back to per-unit charging so the budget error fires
-    /// after exactly as many recorded steps as the tree-walker's.
-    #[inline]
-    pub(crate) fn charge_steps(&mut self, n: u32) -> Result<(), Thrown> {
-        if self.steps + n as u64 <= self.step_limit {
-            self.steps += n as u64;
-            if let Some(p) = &mut self.profiler {
-                p.record_steps(n);
-            }
-            Ok(())
-        } else {
-            for _ in 0..n {
-                self.charge_step()?;
-            }
-            Ok(())
-        }
-    }
-
     /// Reset the step budget (between page loads).
     pub fn reset_steps(&mut self) {
         self.steps = 0;
@@ -952,7 +815,7 @@ impl Interp {
         Ok(Flow::Normal)
     }
 
-    pub(crate) fn exec_stmt(&mut self, stmt: &Stmt, scope: &ScopeRef) -> Result<Flow, Thrown> {
+    fn exec_stmt(&mut self, stmt: &Stmt, scope: &ScopeRef) -> Result<Flow, Thrown> {
         self.charge_step()?;
         match stmt {
             Stmt::Empty => Ok(Flow::Normal),
@@ -1026,8 +889,9 @@ impl Interp {
                 let obj = self.eval_expr(object, scope)?;
                 let keys = self.enumerate_keys(&obj);
                 self.declare(scope, var.clone(), Value::Undefined);
+                let atom = Atom::intern_arc(var);
                 for key in keys {
-                    self.assign_ident(scope, var, Value::Str(key))?;
+                    self.assign_ident(scope, atom, var, Value::Str(key))?;
                     match self.exec_block(body, scope)? {
                         Flow::Normal | Flow::Continue => {}
                         Flow::Break => break,
@@ -1054,8 +918,9 @@ impl Interp {
                     }
                 };
                 self.declare(scope, var.clone(), Value::Undefined);
+                let atom = Atom::intern_arc(var);
                 for item in items {
-                    self.assign_ident(scope, var, item)?;
+                    self.assign_ident(scope, atom, var, item)?;
                     match self.exec_block(body, scope)? {
                         Flow::Normal | Flow::Continue => {}
                         Flow::Break => break,
@@ -1142,7 +1007,7 @@ impl Interp {
 
     // --------------------------------------------------------- expressions
 
-    pub(crate) fn declare(&mut self, scope: &ScopeRef, name: Arc<str>, v: Value) {
+    fn declare(&mut self, scope: &ScopeRef, name: Arc<str>, v: Value) {
         if Rc::ptr_eq(scope, &self.global_scope) {
             self.define_global(name, v);
         } else {
@@ -1150,58 +1015,11 @@ impl Interp {
         }
     }
 
-    pub(crate) fn lookup_ident(&mut self, scope: &ScopeRef, name: &str) -> Option<Value> {
-        // A never-interned name can't be bound in any scope (declaration
-        // interns it), so the chain walk is skipped entirely for it.
-        if let Some(atom) = Atom::lookup(name) {
-            let mut cur = Some(scope.clone());
-            while let Some(s) = cur {
-                let b = s.borrow();
-                if let Some(v) = b.vars.get(&atom) {
-                    return Some(v.clone());
-                }
-                cur = b.parent.clone();
-            }
-        }
-        // Fall back to global object properties (host objects live there).
-        let g = self.global;
-        let obj = self.heap.get(g);
-        if obj.props.contains(name) {
-            return self.get_from_object(g, Value::Obj(g), name).ok();
-        }
-        None
-    }
-
-    pub(crate) fn assign_ident(&mut self, scope: &ScopeRef, name: &str, v: Value) -> Result<(), Thrown> {
-        if let Some(atom) = Atom::lookup(name) {
-            let mut cur = Some(scope.clone());
-            while let Some(s) = cur {
-                {
-                    let mut b = s.borrow_mut();
-                    if let Some(slot) = b.vars.get_mut(&atom) {
-                        *slot = v;
-                        return Ok(());
-                    }
-                }
-                let parent = s.borrow().parent.clone();
-                cur = parent;
-            }
-        }
-        // Undeclared assignment creates/overwrites a global property (which
-        // may hit a setter — e.g. an instrumented global accessor).
-        let g = Value::Obj(self.global);
-        self.set_prop(&g, name, v)
-    }
-
-    /// [`Self::lookup_ident`] with the atom pre-interned (the VM stores
-    /// atoms in its chunks), skipping the per-access string hash of
-    /// [`Atom::lookup`]. Observably identical: an interned-but-unbound
-    /// name falls through to the global object exactly like a
-    /// never-interned one.
-    #[inline]
-    pub(crate) fn lookup_ident_fast(&mut self, scope: &ScopeRef, atom: Atom, name: &str) -> Option<Value> {
-        // Immediate-scope hit (the overwhelmingly common case for function
-        // locals) without touching the Rc refcount.
+    /// Resolve a variable: the scope chain by `atom`, then the global
+    /// object's properties by `name` (host objects live there).
+    fn lookup_ident(&mut self, scope: &ScopeRef, atom: Atom, name: &str) -> Option<Value> {
+        // Check the innermost scope (function locals, the common case)
+        // before cloning any `Rc` to walk outwards.
         let mut cur = {
             let b = scope.borrow();
             if let Some(v) = b.vars.get(&atom) {
@@ -1224,10 +1042,7 @@ impl Interp {
         None
     }
 
-    /// [`Self::assign_ident`] with the atom pre-interned; see
-    /// [`Self::lookup_ident_fast`].
-    #[inline]
-    pub(crate) fn assign_ident_fast(
+    fn assign_ident(
         &mut self,
         scope: &ScopeRef,
         atom: Atom,
@@ -1253,22 +1068,13 @@ impl Interp {
             let parent = s.borrow().parent.clone();
             cur = parent;
         }
+        // Undeclared assignment creates/overwrites a global property (which
+        // may hit a setter — e.g. an instrumented global accessor).
         let g = Value::Obj(self.global);
         self.set_prop(&g, name, v)
     }
 
-    /// [`Self::declare`] with the atom pre-interned (non-global scopes skip
-    /// re-interning; the global path still needs the name for the property
-    /// table).
-    pub(crate) fn declare_fast(&mut self, scope: &ScopeRef, atom: Atom, name: &Arc<str>, v: Value) {
-        if Rc::ptr_eq(scope, &self.global_scope) {
-            self.define_global(name.clone(), v);
-        } else {
-            scope.borrow_mut().vars.insert(atom, v);
-        }
-    }
-
-    pub(crate) fn resolve_this(&self, scope: &ScopeRef) -> Value {
+    fn resolve_this(&self, scope: &ScopeRef) -> Value {
         let mut cur = Some(scope.clone());
         while let Some(s) = cur {
             let b = s.borrow();
@@ -1289,7 +1095,7 @@ impl Interp {
             Expr::Null => Ok(Value::Null),
             Expr::Undefined => Ok(Value::Undefined),
             Expr::This => Ok(self.resolve_this(scope)),
-            Expr::Ident(name) => match self.lookup_ident(scope, name) {
+            Expr::Ident(name, atom) => match self.lookup_ident(scope, *atom, name) {
                 Some(v) => Ok(v),
                 None => {
                     Err(self.throw_error(ErrorKind::Reference, &format!("{name} is not defined")))
@@ -1334,8 +1140,8 @@ impl Interp {
                     f.line = *line;
                 }
                 // `eval` as a special form: executes in the caller's scope.
-                if let Expr::Ident(name) = &**callee {
-                    if &**name == "eval" && self.lookup_ident(scope, "eval").is_some() {
+                if let Expr::Ident(name, atom) = &**callee {
+                    if &**name == "eval" && self.lookup_ident(scope, *atom, name).is_some() {
                         let arg = match args.first() {
                             Some(a) => self.eval_expr(a, scope)?,
                             None => Value::Undefined,
@@ -1410,8 +1216,8 @@ impl Interp {
             Expr::Unary { op, operand } => {
                 if let UnOp::TypeOf = op {
                     // `typeof missing` must not throw.
-                    if let Expr::Ident(name) = &**operand {
-                        return Ok(match self.lookup_ident(scope, name) {
+                    if let Expr::Ident(name, atom) = &**operand {
+                        return Ok(match self.lookup_ident(scope, *atom, name) {
                             Some(v) => Value::str(self.type_of(&v)),
                             None => Value::str("undefined"),
                         });
@@ -1437,7 +1243,7 @@ impl Interp {
                 }
             }
             Expr::Delete(target) => match target {
-                Target::Ident(_) => Ok(Value::Bool(false)),
+                Target::Ident(..) => Ok(Value::Bool(false)),
                 Target::Member(base, key) => {
                     let b = self.eval_expr(base, scope)?;
                     Ok(Value::Bool(self.delete_prop(&b, key)))
@@ -1540,7 +1346,7 @@ impl Interp {
 
     fn read_target(&mut self, target: &Target, scope: &ScopeRef) -> Result<Value, Thrown> {
         match target {
-            Target::Ident(name) => match self.lookup_ident(scope, name) {
+            Target::Ident(name, atom) => match self.lookup_ident(scope, *atom, name) {
                 Some(v) => Ok(v),
                 None => {
                     Err(self.throw_error(ErrorKind::Reference, &format!("{name} is not defined")))
@@ -1566,7 +1372,7 @@ impl Interp {
         v: Value,
     ) -> Result<(), Thrown> {
         match target {
-            Target::Ident(name) => self.assign_ident(scope, name, v),
+            Target::Ident(name, atom) => self.assign_ident(scope, *atom, name, v),
             Target::Member(base, key) => {
                 let b = self.eval_expr(base, scope)?;
                 self.set_prop(&b, key, v)
@@ -1596,7 +1402,7 @@ impl Interp {
         true
     }
 
-    pub(crate) fn binary_op(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, Thrown> {
+    fn binary_op(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, Thrown> {
         use BinOp::*;
         Ok(match op {
             Add => {
@@ -1759,7 +1565,7 @@ pub enum ErrorKind {
 
 fn callee_name(e: &Expr) -> String {
     match e {
-        Expr::Ident(n) => n.to_string(),
+        Expr::Ident(n, _) => n.to_string(),
         Expr::Member { key, .. } => key.to_string(),
         Expr::Index { .. } => "<computed>".to_string(),
         _ => "<expression>".to_string(),

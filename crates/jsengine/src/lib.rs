@@ -24,17 +24,9 @@
 //! * `for`-`in` iteration and `Object.getOwnPropertyNames` (so template
 //!   attacks and honey-property traps behave as in the paper).
 //!
-//! The engine ships two execution backends behind one [`Engine`] API: the
-//! original tree-walking interpreter (the reference oracle — maximally
-//! debuggable, semantics written down once) and a bytecode VM
-//! ([`bytecode`] + [`vm`]) that compiles each script once per
-//! [`CompiledScript`] handle and runs a flat dispatch loop over the same
-//! runtime (values, objects, builtins, error paths). The two are required
-//! to be observably identical — per-site records, step budgets, traces and
-//! telemetry digests byte-for-byte — and a differential harness enforces
-//! it; the VM exists purely because the scan's interpretation phase
-//! dominates visit wall time (the `bench` crate's `ablation_engine`
-//! quantifies the speedup).
+//! Execution is a single tree-walking interpreter over the shared
+//! [`Program`](ast::Program) AST; [`CompiledScript`] handles let one parse
+//! serve every realm in the process.
 //!
 //! ## Quick example
 //!
@@ -52,7 +44,6 @@
 
 pub mod ast;
 pub mod atom;
-pub mod bytecode;
 pub mod compile;
 pub mod error;
 pub mod interp;
@@ -61,7 +52,6 @@ pub mod object;
 pub mod parser;
 pub mod profiler;
 pub mod value;
-pub mod vm;
 
 mod builtins;
 
@@ -69,7 +59,6 @@ pub use compile::{
     cache, cache_enabled, compile, compile_cached, set_cache_enabled, set_cache_shards,
     CacheStats, CompileCache, CompiledScript, ScriptSource,
 };
-pub use vm::{default_engine, set_default_engine, Engine};
 pub use atom::{Atom, AtomMap};
 pub use error::{EngineError, Thrown};
 pub use interp::{Frame, Interp, NativeFn, ScopeRef};

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 
 use crate::ast::*;
+use crate::atom::Atom;
 use crate::error::EngineError;
 use crate::lexer::{lex, Tok, Token};
 
@@ -354,7 +355,7 @@ impl<'a> Parser<'a> {
 
     fn as_target(&self, e: Expr) -> Result<Target, EngineError> {
         match e {
-            Expr::Ident(name) => Ok(Target::Ident(name)),
+            Expr::Ident(name, atom) => Ok(Target::Ident(name, atom)),
             Expr::Member { base, key, .. } => Ok(Target::Member(base, key)),
             Expr::Index { base, index, .. } => Ok(Target::Index(base, index)),
             _ => Err(self.err("invalid assignment target")),
@@ -647,11 +648,11 @@ impl<'a> Parser<'a> {
             }
             Tok::Ident(name) => {
                 self.bump();
-                Ok(Expr::Ident(name))
+                Ok(ident(name))
             }
             Tok::Of => {
                 self.bump();
-                Ok(Expr::Ident(Arc::from("of")))
+                Ok(ident(Arc::from("of")))
             }
             Tok::LParen => {
                 self.bump();
@@ -704,7 +705,7 @@ impl<'a> Parser<'a> {
                     self.assignment()?
                 } else {
                     // Shorthand `{key}`.
-                    Expr::Ident(key.clone())
+                    ident(key.clone())
                 };
                 pairs.push((key, value));
                 if !self.eat(&Tok::Comma) {
@@ -760,6 +761,12 @@ impl<'a> Parser<'a> {
             is_arrow: false,
         }))
     }
+}
+
+/// A variable reference, interned once here rather than on every lookup.
+fn ident(name: Arc<str>) -> Expr {
+    let atom = Atom::intern_arc(&name);
+    Expr::Ident(name, atom)
 }
 
 #[cfg(test)]

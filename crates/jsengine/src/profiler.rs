@@ -29,14 +29,6 @@ pub struct Profile {
 /// default to no-ops so partial profilers stay small.
 pub trait Profiler {
     fn record_step(&mut self) {}
-    /// `n` coalesced steps at once (the bytecode VM batches charges for
-    /// pure nodes). Equivalent to `n` `record_step` calls; the default
-    /// loops so partial profilers only implement one of the two.
-    fn record_steps(&mut self, n: u32) {
-        for _ in 0..n {
-            self.record_step();
-        }
-    }
     fn record_call(&mut self, _depth: usize) {}
     fn record_eval(&mut self) {}
     /// A native (builtin) function is about to run; `name` is the
@@ -58,10 +50,6 @@ pub struct CountingProfiler {
 impl Profiler for CountingProfiler {
     fn record_step(&mut self) {
         self.profile.ops += 1;
-    }
-
-    fn record_steps(&mut self, n: u32) {
-        self.profile.ops += n as u64;
     }
 
     fn record_call(&mut self, depth: usize) {

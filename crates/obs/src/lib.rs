@@ -43,9 +43,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
+/// FNV-1a-64 offset basis: the hash of the empty input.
+const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over bytes — the repo's standard cheap stable hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_fold(FNV1A_BASIS, bytes)
+}
+
+/// Continue an FNV-1a hash `h` over more bytes, so a digest can be built
+/// from several pieces without concatenating them:
+/// `fnv1a_fold(fnv1a(a), b) == fnv1a(a ++ b)`.
+pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -382,5 +391,6 @@ mod tests {
         let _g = locked();
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_fold(fnv1a(b"fo"), b"obar"), fnv1a(b"foobar"));
     }
 }

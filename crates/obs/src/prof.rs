@@ -74,20 +74,7 @@ phase_def!(
 phase_def!(COMPILE_HIT, "compile.hit", "prof.compile.hit_us", "prof.self.compile.hit");
 phase_def!(COMPILE_MISS, "compile.miss", "prof.compile.miss_us", "prof.self.compile.miss");
 phase_def!(JS_INTERP, "jsengine.interp", "prof.jsengine.interp_us", "prof.self.jsengine.interp");
-phase_def!(
-    JS_COMPILE_BC,
-    "jsengine.compile_bc",
-    "prof.jsengine.compile_bc_us",
-    "prof.self.jsengine.compile_bc"
-);
-phase_def!(JS_VM, "jsengine.vm", "prof.jsengine.vm_us", "prof.self.jsengine.vm");
 phase_def!(DETECT_STATIC, "detect.static", "prof.detect.static_us", "prof.self.detect.static");
-phase_def!(
-    DETECT_STATIC_BUILD,
-    "detect.static.build",
-    "prof.detect.static.build_us",
-    "prof.self.detect.static.build"
-);
 phase_def!(
     DETECT_STATIC_SCAN,
     "detect.static.scan",
@@ -109,10 +96,7 @@ pub static PHASES: &[&PhaseDef] = &[
     &COMPILE_HIT,
     &COMPILE_MISS,
     &JS_INTERP,
-    &JS_COMPILE_BC,
-    &JS_VM,
     &DETECT_STATIC,
-    &DETECT_STATIC_BUILD,
     &DETECT_STATIC_SCAN,
     &DETECT_DYNAMIC,
     &ARCHIVE_ENCODE,
@@ -128,10 +112,7 @@ pub static VISIT_PHASES: &[&PhaseDef] = &[
     &COMPILE_HIT,
     &COMPILE_MISS,
     &JS_INTERP,
-    &JS_COMPILE_BC,
-    &JS_VM,
     &DETECT_STATIC,
-    &DETECT_STATIC_BUILD,
     &DETECT_STATIC_SCAN,
     &DETECT_DYNAMIC,
     &ARCHIVE_ENCODE,
@@ -308,15 +289,6 @@ fn collapsed_map() -> &'static Mutex<BTreeMap<String, u64>> {
 /// finest attribution the engine offers (documented in the collapsed
 /// header the bench prints).
 pub fn fold_builtin_counts(builtins: &[(std::sync::Arc<str>, u64)]) {
-    fold_builtin_counts_under("visit;jsengine.interp", builtins);
-}
-
-/// [`fold_builtin_counts`] with an explicit parent path, so hosts running
-/// the bytecode backend can hang the identical `builtin.<name>` leaves
-/// under `visit;jsengine.vm` instead. The `prof.builtin.*` counters are
-/// engine-agnostic either way — both backends funnel native dispatch
-/// through one shared builtins layer, so the counts line up exactly.
-pub fn fold_builtin_counts_under(parent: &str, builtins: &[(std::sync::Arc<str>, u64)]) {
     if !profiling() || builtins.is_empty() {
         return;
     }
@@ -327,7 +299,7 @@ pub fn fold_builtin_counts_under(parent: &str, builtins: &[(std::sync::Arc<str>,
     if COLLAPSED.load(Ordering::Relaxed) {
         let mut map = collapsed_map().lock().unwrap_or_else(|e| e.into_inner());
         for (name, count) in builtins {
-            *map.entry(format!("{parent};builtin.{name}")).or_insert(0) += count;
+            *map.entry(format!("visit;jsengine.interp;builtin.{name}")).or_insert(0) += count;
         }
     }
 }

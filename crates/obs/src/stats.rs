@@ -147,26 +147,12 @@ pub fn render_summary(reg: &Registry) -> String {
         }
     }
 
-    // Static-matcher effort: scan volume, automaton candidate→confirm
-    // funnel, and the verdict-memo hit rate (digest-excluded).
+    // Static-matcher effort: scan volume and the verdict-memo hit rate
+    // (digest-excluded).
     let match_scripts = snap.counter("match.scripts");
     if match_scripts > 0 {
         out.push_str("[stats] static matcher (digest-excluded)\n");
-        let _ = writeln!(
-            out,
-            "  scripts {match_scripts} bytes {} patterns {}",
-            snap.counter("match.bytes"),
-            snap.counter("match.patterns"),
-        );
-        let cand = snap.counter("match.candidate_hits");
-        let conf = snap.counter("match.confirmed_hits");
-        if cand > 0 {
-            let _ = writeln!(
-                out,
-                "  candidates {cand} confirmed {conf} ({:.1}%)",
-                conf as f64 * 100.0 / cand as f64
-            );
-        }
+        let _ = writeln!(out, "  scripts {match_scripts} bytes {}", snap.counter("match.bytes"));
         let hits = snap.counter("match.memo.hit");
         let misses = snap.counter("match.memo.miss");
         if hits + misses > 0 {
@@ -250,15 +236,11 @@ mod tests {
         let reg = Registry::new();
         reg.add("match.scripts", 40);
         reg.add("match.bytes", 12_345);
-        reg.add("match.patterns", 6);
-        reg.add("match.candidate_hits", 10);
-        reg.add("match.confirmed_hits", 5);
         reg.add("match.memo.hit", 30);
         reg.add("match.memo.miss", 10);
         let s = render_summary(&reg);
         assert!(s.contains("[stats] static matcher"), "{s}");
-        assert!(s.contains("scripts 40 bytes 12345 patterns 6"), "{s}");
-        assert!(s.contains("candidates 10 confirmed 5 (50.0%)"), "{s}");
+        assert!(s.contains("scripts 40 bytes 12345\n"), "{s}");
         assert!(s.contains("memo hits 30 misses 10 (75.0% hit rate)"), "{s}");
         // And none of it reaches the digest.
         assert_eq!(reg.snapshot().digest(), Registry::new().snapshot().digest());

@@ -323,21 +323,11 @@ impl Browser {
         // Execute page scripts in document order, compiling through the
         // process-wide cache: provider scripts shared across hundreds of
         // sites (and every supervisor retry of this visit) parse once.
-        // Execution time is attributed to the active backend's phase
-        // (`jsengine.vm` vs `jsengine.interp`); under the VM the lazy
-        // bytecode compile is warmed first so it lands in its own
-        // `jsengine.compile_bc` phase rather than polluting run time.
-        let engine = jsengine::default_engine();
         for script in &spec.scripts {
             let ran = jsengine::compile_cached(&script.source, &script.url)
                 .map_err(|_| ())
                 .and_then(|cs| {
-                    let _ph = if engine == jsengine::Engine::Vm {
-                        cs.chunk();
-                        obs::prof::enter(&obs::prof::JS_VM)
-                    } else {
-                        obs::prof::enter(&obs::prof::JS_INTERP)
-                    };
+                    let _ph = obs::prof::enter(&obs::prof::JS_INTERP);
                     page.run_script(&cs).map_err(|_| ())
                 });
             if ran.is_err() {
@@ -422,14 +412,7 @@ impl Browser {
             after.report_delta(&before);
         }
         if let Some(profile) = page.take_profile() {
-            // Builtin leaves hang under whichever backend phase ran the
-            // scripts, so collapsed flamegraphs show identical
-            // `builtin.<name>` frames in either mode.
-            let parent = match jsengine::default_engine() {
-                jsengine::Engine::Vm => "visit;jsengine.vm",
-                jsengine::Engine::Tree => "visit;jsengine.interp",
-            };
-            obs::prof::fold_builtin_counts_under(parent, &profile.builtins);
+            obs::prof::fold_builtin_counts(&profile.builtins);
             obs::observe("jsengine.ops_per_visit", profile.ops);
             obs::observe("jsengine.calls_per_visit", profile.calls);
             obs::observe("jsengine.max_call_depth", profile.max_depth as u64);

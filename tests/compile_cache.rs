@@ -8,7 +8,7 @@
 //! serialise on one mutex so the parallel test runner cannot interleave
 //! their resets.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use gullible::obs;
 use gullible::scan::{Scan, ScanConfig};
@@ -26,7 +26,7 @@ fn scan_cfg() -> ScanConfig {
 /// per-site records, and a byte-identical telemetry digest.
 #[test]
 fn cache_is_invisible_to_results_and_telemetry() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let leg = |cache_on: bool| {
         obs::reset();
         obs::set_stats(true);
@@ -55,7 +55,7 @@ fn cache_is_invisible_to_results_and_telemetry() {
 /// count bounded by the number of unique bodies (never by call count).
 #[test]
 fn concurrent_compiles_share_one_artifact_per_body() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     jsengine::set_cache_enabled(true);
     jsengine::cache().clear();
     let bodies: Arc<Vec<String>> = Arc::new(
@@ -97,7 +97,7 @@ fn concurrent_compiles_share_one_artifact_per_body() {
 /// bounded by the unique-body count, not the compile count.
 #[test]
 fn growth_is_bounded_by_unique_bodies() {
-    let _g = SERIAL.lock().unwrap();
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     jsengine::set_cache_enabled(true);
     jsengine::cache().clear();
     for round in 0..10 {

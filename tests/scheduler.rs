@@ -74,6 +74,7 @@ fn repeated_runs_identical_at_same_worker_count() {
 /// rank-order merge of the work-stealing run equals the sequential map.
 #[test]
 fn chunked_merge_equals_sequential_map() {
+    let _g = obs_locked();
     proplite::run_cases(120, 0x5CED, |rng| {
         let n = rng.usize_in(0, 500);
         let workers = rng.usize_in(1, 9);
@@ -91,6 +92,7 @@ fn chunked_merge_equals_sequential_map() {
 /// (more workers than items) must not perturb the merge.
 #[test]
 fn merge_handles_idle_workers() {
+    let _g = obs_locked();
     for n in [1usize, 2, 5, 7] {
         let out = run_parallel_chunked((0..n as u32).collect(), 8, 1, |_| (), |_, _, x: u32| x * 10);
         assert_eq!(out, (0..n as u32).map(|x| x * 10).collect::<Vec<_>>());
