@@ -21,16 +21,16 @@ fn main() {
             bar(counts[3])
         );
     }
-    let front = report.count(|s| s.front.dynamic_true);
-    let site = report.count(|s| s.site.dynamic_true);
+    let front = report.count(|front, _| front.dynamic_true);
+    let site = report.count(|_, site| site.dynamic_true);
     println!(
         "\nactive-detector sites: front {} → incl. subpages {} (+{:.0}%; paper: +37%, 14% → 19% \
          union: front {} → {} of {})",
         thousands(front as u64),
         thousands(site as u64),
         (site as f64 / front as f64 - 1.0) * 100.0,
-        pct(report.count(|s| s.front.union_true()) as u64, report.n_sites as u64),
-        pct(report.count(|s| s.site.union_true()) as u64, report.n_sites as u64),
+        pct(report.count(|front, _| front.union_true()) as u64, report.n_sites as u64),
+        pct(report.count(|_, site| site.union_true()) as u64, report.n_sites as u64),
         thousands(report.n_sites as u64),
     );
     println!("{}", gullible::report::coverage_note(&report.completion));

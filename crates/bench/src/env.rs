@@ -10,7 +10,6 @@
 //! | `GULLIBLE_SITES`          | u32   | 20,000         | population size (paper scale: 100,000) |
 //! | `GULLIBLE_SEED`           | u64   | 42             | population seed |
 //! | `GULLIBLE_WORKERS`        | usize | CPU count      | crawl worker threads |
-//! | `GULLIBLE_CHECKPOINT`     | path  | unset          | journal per-site scan results; resume on restart |
 //! | `GULLIBLE_TRACE`          | path  | unset          | stream the JSONL telemetry journal here |
 //! | `GULLIBLE_TRACE_WALL`     | bool  | 0              | add `wall_ms` to journal lines (breaks byte-identity) |
 //! | `GULLIBLE_STATS`          | bool  | 0              | print the `[stats]` crawl summary after each run |
@@ -23,7 +22,7 @@
 //! | `GULLIBLE_FAULT_SEED`     | u64   | `0xFA017`      | fault-plan seed, independent of the population seed |
 //! | `GULLIBLE_COMPILE_CACHE`  | bool  | 1              | share compiled scripts across workers (`0` disables; ablation) |
 //! | `GULLIBLE_COMPILE_SHARDS` | usize | 16             | mutex stripes in the compile cache (set before first use) |
-//! | `GULLIBLE_BUNDLE`         | path  | unset          | crawl-bundle directory for `archive_record`/`archive_replay` (positional arg wins) |
+//! | `GULLIBLE_BUNDLE`         | path  | unset          | crawl-bundle directory for `archive_record`/`archive_replay` (positional arg wins); makes `repro` stream its scan there and resume on restart |
 //! | `GULLIBLE_PROF`           | mode  | off            | phase profiler: `1` on, `collapsed` also prints a flamegraph-ready collapsed-stack dump |
 //! | `GULLIBLE_PROF_SLOW_US`   | u64   | 0              | slow-visit threshold in µs; visits at/above it dump a forensic record (`0` disables) |
 //! | `GULLIBLE_FORENSICS`      | path  | unset          | append flight-recorder forensic dumps (JSONL) here; arms the profiler |
@@ -80,11 +79,6 @@ pub fn workers() -> usize {
     ) as usize
 }
 
-/// `GULLIBLE_CHECKPOINT` — per-site result journal for resumable scans.
-pub fn checkpoint() -> Option<PathBuf> {
-    path_knob("GULLIBLE_CHECKPOINT")
-}
-
 /// `GULLIBLE_TRACE` — destination for the JSONL telemetry journal.
 pub fn trace() -> Option<PathBuf> {
     path_knob("GULLIBLE_TRACE")
@@ -119,7 +113,8 @@ pub fn compile_shards() -> usize {
     u64_knob("GULLIBLE_COMPILE_SHARDS", 16) as usize
 }
 
-/// `GULLIBLE_BUNDLE` — crawl-bundle directory for the archive binaries.
+/// `GULLIBLE_BUNDLE` — crawl-bundle directory for the archive binaries
+/// and for `repro`'s durable scan.
 pub fn bundle() -> Option<PathBuf> {
     path_knob("GULLIBLE_BUNDLE")
 }

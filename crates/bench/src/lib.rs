@@ -3,9 +3,10 @@
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! regenerates it against the synthetic population. Scale, seed, fault
 //! weather and telemetry are all controlled by `GULLIBLE_*` environment
-//! variables, documented (with types and defaults) in [`env`] — the one
-//! module that parses them. The same binaries therefore drive both quick
-//! looks and the full paper-scale runs recorded in EXPERIMENTS.md.
+//! variables, documented (with types and defaults) in [`env`](mod@env) —
+//! the one module that parses them. The same binaries therefore drive
+//! both quick looks and the full paper-scale runs recorded in
+//! EXPERIMENTS.md.
 //!
 //! Each binary follows the same frame:
 //!
@@ -19,7 +20,8 @@
 //! set and enables stats collection under `GULLIBLE_STATS`; [`finish`]
 //! prints the human `[stats]` summary (when enabled) and always prints the
 //! machine-readable `[provenance]` footer, so every regenerated table
-//! carries its seed, config hash and telemetry digest.
+//! carries its seed, config hash and telemetry digest (`telemetry=off`
+//! when stats were not collected).
 
 #![deny(deprecated)]
 
@@ -148,8 +150,8 @@ pub fn run_config_hash() -> u64 {
 
 /// Print the run footer every binary ends with: the `[stats]` summary when
 /// `GULLIBLE_STATS` is on, then — always — the one-line `[provenance]`
-/// footer (seed, config hash, telemetry digest, coverage), and flush the
-/// trace journal.
+/// footer (seed, config hash, telemetry digest or `telemetry=off`,
+/// coverage), and flush the trace journal.
 pub fn finish(bin: &str, coverage: Option<&str>) {
     let reg = obs::registry();
     if obs::stats_enabled() {
@@ -162,9 +164,10 @@ pub fn finish(bin: &str, coverage: Option<&str>) {
             print!("[prof] collapsed stacks (self µs)\n{collapsed}");
         }
     }
+    let snapshot = obs::stats_enabled().then(|| reg.snapshot());
     println!(
         "{}",
-        obs::stats::provenance_footer(bin, env::seed(), run_config_hash(), &reg.snapshot(), coverage)
+        obs::stats::provenance_footer(bin, env::seed(), run_config_hash(), snapshot.as_ref(), coverage)
     );
     if let Some(journal) = obs::journal() {
         journal.flush();

@@ -7,12 +7,15 @@
 //! configurations. Following Hantke et al.'s *Web Execution Bundles*,
 //! this module pins a crawl to disk:
 //!
-//! * **Record** — `Scan::new(cfg).record(dir)` runs a normal scan while a
-//!   [`Recorder`] hook archives, per site: every served script body
-//!   (deduplicated through the FNV-64 content store), the page structure
-//!   (URLs, CSP, dwell, static subresources), the typed
+//! * **Record** — `Scan::new(cfg).stream_to(dir)` runs a scan whose
+//!   `StreamRecorder` appends, per determined site: every served script
+//!   body (deduplicated through the FNV-64 content store), the page
+//!   structure (URLs, CSP, dwell, static subresources), the typed
 //!   [`VisitOutcome`], the attempt count, and a [`StoreCapture`]
-//!   fingerprint of every instrument record the visit produced.
+//!   fingerprint of every instrument record the visit produced. Each
+//!   append is acknowledged in a checkpoint next to the bundle, so a
+//!   killed crawl resumes where it stopped; once every site is determined
+//!   the bundle is sealed with a [`CommitInfo`].
 //! * **Replay** — `Scan::new(cfg).replay(dir)` re-runs the *entire*
 //!   pipeline (jsengine execution, instruments, detect static+dynamic
 //!   classification, supervisor fault weather) with `webgen` bypassed:
@@ -44,8 +47,7 @@ use openwpm::{
 use webgen::{Category, Population};
 
 use crate::scan::{
-    decode_site_record, encode_site_record, site_visit, ScanConfig, ScanReport, SiteScanRecord,
-    SiteVisit,
+    decode_site_record, encode_site_record, site_visit, ScanConfig, SiteScanRecord, SiteVisit,
 };
 
 // Separators. The bundle layer reserves `\n` and US (`\x1f`); the
@@ -58,22 +60,26 @@ const PF: char = '\x03'; // between page fields
 const LIST: char = '\x1d'; // between list elements (GS, as elsewhere)
 const PAIR: char = '\x1c'; // inside list elements (FS, as elsewhere)
 
-/// Counters describing what a recording run archived; attached to
-/// [`ScanReport::archive`].
+/// Counters describing the bundle a streamed scan sealed; attached to
+/// [`ScanReport::archive`](crate::ScanReport::archive). The blob counters
+/// cover this run's puts only: a resumed stream's earlier legs are not
+/// included.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArchiveStats {
-    /// Sites written to the bundle (completed + failed + interrupted).
+    /// Site entries in the sealed bundle (completed + failed).
     pub sites: u64,
-    /// Unique script/resource bodies in the blob store.
+    /// Unique script/resource bodies this run added to the blob store.
     pub blobs_written: u64,
-    /// Bytes of unique blob content.
+    /// Bytes of unique blob content this run added.
     pub blob_bytes: u64,
-    /// Blob puts answered by dedup — equals (bodies served − unique
-    /// bodies), the corpus-statistics prediction the property test pins.
+    /// Blob puts answered by dedup — for a single-leg stream equals
+    /// (bodies served − unique bodies), the corpus-statistics prediction
+    /// the property test pins.
     pub dedup_hits: u64,
 }
 
-/// Counters describing a replay run; attached to [`ScanReport::replay`].
+/// Counters describing a replay run; attached to
+/// [`ScanReport::replay`](crate::ScanReport::replay).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Sites re-measured from the bundle.
@@ -150,8 +156,8 @@ impl CommitInfo {
 // thread; the supervisor invokes `on_complete` on that same thread, inside
 // the still-open visit scope, immediately after the final attempt. A
 // thread-local cell is therefore a race-free channel from the visit body
-// to the Recorder/Verifier hook without widening every signature in
-// between.
+// to the stream flush or the replay verifier without widening every
+// signature in between.
 
 thread_local! {
     static CAPTURE: std::cell::Cell<Option<StoreCapture>> =
@@ -195,7 +201,7 @@ fn split_list(s: &str) -> Vec<&str> {
     if s.is_empty() { Vec::new() } else { s.split(LIST).collect() }
 }
 
-fn invalid(msg: String) -> io::Error {
+pub(crate) fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
@@ -329,9 +335,8 @@ fn decode_page(s: &str, reader: &BundleReader) -> Option<VisitSpec> {
     Some(spec)
 }
 
-/// The four result fields shared by the Recorder (what gets written) and
-/// the Verifier (what the replayed outcome is compared against):
-/// `attempts F status F payload F capture`.
+/// The four result fields a bundle entry records and the Verifier compares
+/// a replayed outcome against: `attempts F status F payload F capture`.
 fn result_fields(
     outcome: &VisitOutcome<SiteScanRecord>,
     attempts: u32,
@@ -353,98 +358,6 @@ fn result_fields(
 
 fn result_fields_of(status: &str, payload: &str, cap: &str, attempts: u32) -> String {
     format!("{attempts}{F}{status}{F}{payload}{F}{cap}")
-}
-
-// --- recording -------------------------------------------------------------
-
-/// Archives one scan into a bundle. Created by `Scan::record`; its hook
-/// runs on worker threads, so all state is behind locks. I/O errors are
-/// latched and surfaced at [`Recorder::finish`] (the `on_complete`
-/// channel has no error path).
-pub(crate) struct Recorder {
-    writer: BundleWriter,
-    pop: Population,
-    include_subpages: bool,
-    line_hashes: Mutex<Vec<Option<u64>>>,
-    err: Mutex<Option<io::Error>>,
-}
-
-impl Recorder {
-    pub(crate) fn create(dir: &Path, cfg: &ScanConfig) -> io::Result<Recorder> {
-        let writer = BundleWriter::create(dir, &encode_config(cfg))?;
-        Ok(Recorder {
-            writer,
-            pop: cfg.population(),
-            include_subpages: cfg.include_subpages,
-            line_hashes: Mutex::new(vec![None; cfg.n_sites as usize]),
-            err: Mutex::new(None),
-        })
-    }
-
-    /// Record one determined site (the `on_complete` hook).
-    pub(crate) fn record(
-        &self,
-        rank: usize,
-        outcome: &VisitOutcome<SiteScanRecord>,
-        attempts: u32,
-    ) {
-        let rf = result_fields(outcome, attempts, take_capture());
-        if let Err(e) = self.try_record(rank, &rf) {
-            self.err.lock().unwrap().get_or_insert(e);
-        }
-    }
-
-    fn try_record(&self, rank: usize, rf: &str) -> io::Result<()> {
-        // Re-materialise the pages the visit served: generation is
-        // deterministic in (population, rank) and bodies are memoised, so
-        // this is what the browser saw, at Arc-clone cost.
-        let visit = site_visit(&self.pop.plan(rank as u32), self.include_subpages);
-        let mut pages = Vec::with_capacity(visit.pages.len());
-        for spec in &visit.pages {
-            pages.push(encode_page(spec, &self.writer)?);
-        }
-        let payload = format!(
-            "{rank}{F}{}{F}{}{F}{}{F}{rf}{F}{}",
-            visit.domain,
-            join_list(&visit.categories, |c| c.name().to_string()),
-            visit.flaky as u8,
-            pages.join(&PAGE.to_string())
-        );
-        self.writer.append_entry(&payload)?;
-        self.line_hashes.lock().unwrap()[rank] = Some(obs::fnv1a(payload.as_bytes()));
-        Ok(())
-    }
-
-    /// Seal the bundle with the run summary and return archive stats.
-    pub(crate) fn finish(self, report: &ScanReport) -> io::Result<ArchiveStats> {
-        if let Some(e) = self.err.into_inner().unwrap() {
-            return Err(e);
-        }
-        let hashes = self.line_hashes.into_inner().unwrap();
-        let mut digest = String::new();
-        for (rank, h) in hashes.iter().enumerate() {
-            let h = h.ok_or_else(|| {
-                invalid(format!("bundle incomplete: site {rank} was never recorded"))
-            })?;
-            digest.push_str(&format!("{h:016x}"));
-        }
-        let info = CommitInfo {
-            completed: report.completion.completed,
-            failed: report.completion.failed,
-            interrupted: report.completion.interrupted,
-            table5: report.table5(),
-            records_digest: obs::fnv1a(digest.as_bytes()),
-            telemetry_digest: obs::registry().snapshot().digest(),
-            stats_enabled: obs::stats_enabled(),
-        };
-        let stats = self.writer.commit(&info.encode())?;
-        Ok(ArchiveStats {
-            sites: stats.entries,
-            blobs_written: stats.blobs_written,
-            blob_bytes: stats.blob_bytes,
-            dedup_hits: stats.dedup_hits,
-        })
-    }
 }
 
 // --- streaming -------------------------------------------------------------
@@ -571,8 +484,11 @@ impl StreamRecorder {
             StreamOutcome::Failed(reason) => ("failed", reason.as_str().to_string(), String::new()),
         };
         let rf = result_fields_of(status, &payload, &cap, attempts);
-        // Page re-materialisation and blob writes happen outside the
-        // serialising lock — the blob store has its own dedup lock.
+        // Re-materialise the pages the visit served: generation is
+        // deterministic in (population, rank) and bodies are memoised, so
+        // this is what the browser saw, at Arc-clone cost. It and the blob
+        // writes happen outside the serialising lock — the blob store has
+        // its own dedup lock.
         let visit = site_visit(&self.pop.plan(rank), self.include_subpages);
         let mut pages = Vec::with_capacity(visit.pages.len());
         for spec in &visit.pages {
@@ -682,6 +598,34 @@ pub(crate) struct StreamHarvest {
     pub(crate) tail_dropped: u64,
 }
 
+/// Streaming never touches a sealed bundle: re-running a finished crawl
+/// must not scribble on its results. The error kind is `AlreadyExists`,
+/// so callers can point at replay instead.
+fn refuse_sealed(dir: &Path, reader: &BundleReader) -> io::Result<()> {
+    match reader.commit {
+        Some(_) => Err(io::Error::new(
+            io::ErrorKind::AlreadyExists,
+            format!(
+                "{}: bundle is already committed — streaming refuses to append to a sealed \
+                 bundle; replay it instead",
+                dir.display()
+            ),
+        )),
+        None => Ok(()),
+    }
+}
+
+/// [`refuse_sealed`] for a directory nothing in a checkpoint vouches for:
+/// a sealed bundle there (say, one recorded by an earlier build, which
+/// kept no checkpoint) is refused rather than overwritten; anything
+/// unreadable is a stale partial bundle, free to be replaced.
+pub(crate) fn refuse_sealed_dir(dir: &Path) -> io::Result<()> {
+    match BundleReader::open(dir) {
+        Ok(reader) => refuse_sealed(dir, &reader),
+        Err(_) => Ok(()),
+    }
+}
+
 /// Read a partial bundle back for resume. Everything at or below
 /// `max_hwm` (the highest manifest offset any surviving checkpoint line
 /// acknowledged) must be intact — corruption there means the storage
@@ -690,12 +634,7 @@ pub(crate) struct StreamHarvest {
 /// orphans to re-visit, torn ones are counted and dropped.
 pub(crate) fn harvest_stream(dir: &Path, cfg: &ScanConfig, max_hwm: u64) -> io::Result<StreamHarvest> {
     let reader = BundleReader::open(dir)?;
-    if reader.commit.is_some() {
-        return Err(invalid(format!(
-            "{}: bundle is already committed — streaming resume refuses to append to a sealed bundle",
-            dir.display()
-        )));
-    }
+    refuse_sealed(dir, &reader)?;
     if reader.config != stream_config(cfg) {
         return Err(invalid(format!(
             "{}: bundle was recorded under a different configuration — refusing to resume into it",
@@ -791,6 +730,9 @@ fn decode_entry(payload: &str, reader: &BundleReader) -> Option<(u32, ReplaySite
         "failed" => {
             FailureReason::parse(result)?;
         }
+        // Streams never write interrupted sites, but bundles sealed by
+        // earlier builds' batch recorder may carry them; keep those
+        // readable.
         "interrupted" => {}
         _ => return None,
     }

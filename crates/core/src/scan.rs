@@ -8,8 +8,8 @@
 //! Figures 3–5.
 
 use std::collections::{BTreeMap, HashSet};
-use std::io::Write;
-use std::path::Path;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -18,15 +18,15 @@ use netsim::url::etld1_of;
 use netsim::Url;
 use obs::fnv1a;
 use openwpm::{
-    run_supervised_fallible, run_supervised_folding, Browser, BrowserConfig, CrashInjector,
-    CrashPlan, CrawlHistoryRecord, CrawlSummary, FailureReason, FaultPlan, ItemMeta, RetryPolicy,
-    SiteResponse, SupervisorConfig, VisitOutcome, VisitSpec,
+    run_supervised_folding, Browser, BrowserConfig, CrashInjector, CrashPlan, CrawlHistoryRecord,
+    CrawlSummary, FailureReason, FaultPlan, ItemMeta, RetryPolicy, SiteResponse, SupervisorConfig,
+    VisitOutcome, VisitSpec,
 };
 use webgen::{visit_spec, Category, PageKind, Population, SitePlan};
 
 use crate::archive::{
-    harvest_stream, ArchiveStats, Recorder, ReplayBundle, ReplayStats, StreamOutcome,
-    StreamRecorder, Verifier,
+    harvest_stream, invalid, refuse_sealed_dir, ArchiveStats, ReplayBundle, ReplayStats,
+    StreamOutcome, StreamRecorder, Verifier,
 };
 
 /// Scan configuration.
@@ -197,8 +197,8 @@ pub fn scan_site(
 
 /// Scan one materialised [`SiteVisit`] (live or replayed). With `capture`
 /// set, a folded [`openwpm::StoreCapture`] fingerprint of every record the
-/// visit produced is parked in the worker's capture slot for the
-/// archive Recorder/Verifier hook to collect.
+/// visit produced is parked in the worker's capture slot for the stream
+/// flush or the replay verifier to collect.
 pub fn scan_site_visit(
     browser: &mut Browser,
     visit: &SiteVisit,
@@ -346,34 +346,33 @@ pub fn first_party_origin_of(url: &str) -> &'static str {
 #[derive(Clone, Debug, Default)]
 pub struct ScanReport {
     pub n_sites: u32,
-    /// Records of sites whose visits completed. Failed or interrupted
-    /// sites contribute no record — they are accounted in `completion`
-    /// and `history` instead, and every printed table must carry the
-    /// coverage denominator (the paper's completeness lesson).
+    /// Records of sites whose visits completed, for plain and replayed
+    /// scans. Failed or interrupted sites contribute no record — they are
+    /// accounted in `completion` and `history` instead, and every printed
+    /// table must carry the coverage denominator (the paper's completeness
+    /// lesson). A streamed scan flushes each record to its bundle and
+    /// drops it, so `sites` stays empty; replay the bundle to get them.
     pub sites: Vec<SiteScanRecord>,
     /// Crawl completeness rollup.
     pub completion: CrawlSummary,
     /// Per-site `crawl_history` rows (ok / failed / interrupted).
     pub history: Vec<CrawlHistoryRecord>,
-    /// Bundle statistics when the scan was recorded (`Scan::record`).
+    /// Bundle statistics when a streamed scan sealed its bundle
+    /// ([`Scan::stream_to`]).
     pub archive: Option<ArchiveStats>,
     /// Verification statistics when the scan was replayed (`Scan::replay`).
     pub replay: Option<ReplayStats>,
-    /// Pre-folded table state when the scan was streamed
-    /// ([`Scan::stream_to`]): records are flushed to disk and dropped as
-    /// they complete, so `sites` stays empty and every table method reads
-    /// from here instead.
-    pub aggregates: Option<ScanAggregates>,
+    /// Table state folded from every completed site; every table method
+    /// reads from here, whatever the scan mode.
+    pub aggregates: ScanAggregates,
     /// Crash-recovery and memory statistics for a streamed scan.
     pub stream: Option<StreamStats>,
 }
 
 impl ScanReport {
-    /// Count completed sites matching `f`. In streaming mode per-record
-    /// state is gone by the time the report exists — use the
-    /// pre-aggregated tables instead.
-    pub fn count(&self, f: impl Fn(&SiteScanRecord) -> bool) -> u32 {
-        self.sites.iter().filter(|s| f(s)).count() as u32
+    /// Count completed sites whose `(front, site)` flags match `f`.
+    pub fn count(&self, f: impl Fn(PageFlags, PageFlags) -> bool) -> u32 {
+        self.aggregates.flags.iter().filter(|(_, front, site)| f(*front, *site)).count() as u32
     }
 
     /// The coverage statement printed under every table.
@@ -384,77 +383,25 @@ impl ScanReport {
     /// Table 5 rows: (static, dynamic, union) × (identified, true), over
     /// front + subpages.
     pub fn table5(&self) -> [(u32, u32); 3] {
-        if let Some(agg) = &self.aggregates {
-            return agg.table5();
-        }
-        [
-            (
-                self.count(|s| s.site.static_identified),
-                self.count(|s| s.site.static_true),
-            ),
-            (
-                self.count(|s| s.site.dynamic_identified),
-                self.count(|s| s.site.dynamic_true),
-            ),
-            (
-                self.count(|s| s.site.union_identified()),
-                self.count(|s| s.site.union_true()),
-            ),
-        ]
+        self.aggregates.table5()
     }
 
     /// Table 6: OpenWPM-specific probes per provider domain × property.
     pub fn table6(&self) -> BTreeMap<String, BTreeMap<String, u32>> {
-        if let Some(agg) = &self.aggregates {
-            return agg.table6.clone();
-        }
-        let mut out: BTreeMap<String, BTreeMap<String, u32>> = BTreeMap::new();
-        for site in &self.sites {
-            let mut per_site: Vec<&(String, String)> = site.openwpm_probes.iter().collect();
-            per_site.sort();
-            per_site.dedup();
-            for (provider, prop) in per_site {
-                *out.entry(provider.clone()).or_default().entry(prop.clone()).or_insert(0) += 1;
-            }
-        }
-        out
+        self.aggregates.table6.clone()
     }
 
     /// Table 7: third-party hosting domains by inclusion count (1/site).
     pub fn table7(&self) -> Vec<(String, u32)> {
-        let tally: BTreeMap<String, u32> = match &self.aggregates {
-            Some(agg) => agg.table7.clone(),
-            None => {
-                let mut tally: BTreeMap<String, u32> = BTreeMap::new();
-                for site in &self.sites {
-                    for d in &site.third_party_domains {
-                        *tally.entry(d.clone()).or_insert(0) += 1;
-                    }
-                }
-                tally
-            }
-        };
-        let mut v: Vec<(String, u32)> = tally.into_iter().collect();
+        let mut v: Vec<(String, u32)> =
+            self.aggregates.table7.iter().map(|(d, n)| (d.clone(), *n)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
 
     /// Table 12: first-party origin clusters.
     pub fn table12(&self) -> BTreeMap<&'static str, u32> {
-        if let Some(agg) = &self.aggregates {
-            return agg.table12.clone();
-        }
-        let mut out: BTreeMap<&'static str, u32> = BTreeMap::new();
-        for site in &self.sites {
-            let mut origins: Vec<&'static str> =
-                site.first_party_urls.iter().map(|u| first_party_origin_of(u)).collect();
-            origins.sort();
-            origins.dedup();
-            for o in origins {
-                *out.entry(o).or_insert(0) += 1;
-            }
-        }
-        out
+        self.aggregates.table12.clone()
     }
 
     /// Fig. 3/4 series: per-1K-rank-bucket counts of
@@ -462,12 +409,7 @@ impl ScanReport {
     pub fn rank_buckets(&self, bucket: u32) -> Vec<[u32; 4]> {
         let nb = self.n_sites.div_ceil(bucket);
         let mut out = vec![[0u32; 4]; nb as usize];
-        let flags: Box<dyn Iterator<Item = (u32, PageFlags, PageFlags)> + '_> =
-            match &self.aggregates {
-                Some(agg) => Box::new(agg.flags.iter().copied()),
-                None => Box::new(self.sites.iter().map(|s| (s.rank, s.front, s.site))),
-            };
-        for (rank, front, site) in flags {
+        for &(rank, front, site) in &self.aggregates.flags {
             let b = (rank / bucket) as usize;
             if front.static_true {
                 out[b][0] += 1;
@@ -488,60 +430,32 @@ impl ScanReport {
     /// Fig. 5: category tallies for first-party vs third-party detector
     /// sites.
     pub fn category_tallies(&self) -> (BTreeMap<&'static str, u32>, BTreeMap<&'static str, u32>) {
-        if let Some(agg) = &self.aggregates {
-            return (agg.cat_first.clone(), agg.cat_third.clone());
-        }
-        let mut first: BTreeMap<&'static str, u32> = BTreeMap::new();
-        let mut third: BTreeMap<&'static str, u32> = BTreeMap::new();
-        for s in &self.sites {
-            if !s.site.union_true() {
-                continue;
-            }
-            let target = if s.first_party_urls.is_empty() { &mut third } else { &mut first };
-            for c in &s.categories {
-                *target.entry(c.name()).or_insert(0) += 1;
-            }
-        }
-        (first, third)
+        (self.aggregates.cat_first.clone(), self.aggregates.cat_third.clone())
     }
 
     /// Corpus statistics: `(scripts collected, unique bodies)` — the paper
     /// collected 1,535,306 unique scripts over its crawl.
     pub fn script_stats(&self) -> (u64, u64) {
-        if let Some(agg) = &self.aggregates {
-            return (agg.scripts_total, agg.script_hashes.len() as u64);
-        }
-        let mut total = 0u64;
-        let mut seen = std::collections::HashSet::new();
-        for site in &self.sites {
-            total += site.script_hashes.len() as u64;
-            seen.extend(site.script_hashes.iter().copied());
-        }
-        (total, seen.len() as u64)
+        (self.aggregates.scripts_total, self.aggregates.script_hashes.len() as u64)
     }
 
     /// Total first-party vs third-party detector inclusions (Sec. 4.3).
     pub fn inclusion_totals(&self) -> (u32, u32) {
-        if let Some(agg) = &self.aggregates {
-            return (agg.first_party_inclusions, agg.third_party_inclusions);
-        }
-        let first = self.sites.iter().map(|s| s.first_party_urls.len() as u32).sum();
-        let third = self.sites.iter().map(|s| s.third_party_domains.len() as u32).sum();
-        (first, third)
+        (self.aggregates.first_party_inclusions, self.aggregates.third_party_inclusions)
     }
 }
 
-/// Streaming-mode table state, folded one record at a time so completed
-/// [`SiteScanRecord`]s can be dropped the moment they are flushed to
-/// disk. `add` mirrors the per-site logic of the [`ScanReport`] table
-/// methods exactly (including per-site dedup), so a streamed scan and a
-/// classic scan of the same config produce identical tables.
+/// Table state, folded one completed [`SiteScanRecord`] at a time (with
+/// per-site dedup) so a streamed scan can drop each record the moment it
+/// is flushed to disk, and a plain or replayed scan of the same config
+/// produces identical tables from the same fold.
 #[derive(Clone, Debug, Default)]
 pub struct ScanAggregates {
     /// Completed-site count (the Table-5 denominator).
     pub completed: u32,
     /// `(rank, front, site)` flags per completed site — 17 bytes/site,
-    /// the only per-site residue streaming keeps (for `rank_buckets`).
+    /// the only per-site residue streaming keeps (for `rank_buckets` and
+    /// `count`).
     flags: Vec<(u32, PageFlags, PageFlags)>,
     table6: BTreeMap<String, BTreeMap<String, u32>>,
     table7: BTreeMap<String, u32>,
@@ -647,94 +561,65 @@ pub struct StreamStats {
     pub committed: bool,
 }
 
-/// One configured scan session — the single entrypoint for plain,
-/// supervised and checkpointed scans:
+/// One configured scan session: a live or replayed source, plus an
+/// optional streaming bundle sink.
 ///
-/// ```ignore
-/// // Plain scan:
+/// ```no_run
+/// # use gullible::{Scan, ScanConfig};
+/// # fn main() -> std::io::Result<()> {
+/// let cfg = ScanConfig::new(1_000, 42);
+/// // Plain scan, held in memory:
 /// let report = Scan::new(cfg).run()?;
-/// // Resumable scan with a completion callback:
-/// let report = Scan::new(cfg)
-///     .checkpoint("scan.ckpt")
-///     .on_complete(|rank, outcome, attempts| { /* progress */ })
-///     .run()?;
+/// // Durable scan: every visit is streamed into the bundle at `run_a`;
+/// // re-running the same command after a kill resumes it.
+/// let streamed = Scan::new(cfg).stream_to("run_a").run()?;
+/// // Re-measure the sealed bundle:
+/// let replayed = Scan::new(cfg).replay("run_a").run()?;
+/// assert_eq!(replayed.replay.unwrap().divergences, 0);
+/// # let _ = (report, streamed);
+/// # Ok(())
+/// # }
 /// ```
 ///
-/// `run` only returns `Err` for checkpoint I/O failures; a scan without
-/// [`Scan::checkpoint`] cannot fail.
-pub struct Scan<'a> {
+/// `run` returns `Err` only for bundle/checkpoint I/O failures and the
+/// two invalid combinations: `replay` with `stream_to`, and
+/// `inject_crash` without `stream_to`.
+pub struct Scan {
     cfg: ScanConfig,
-    checkpoint: Option<std::path::PathBuf>,
-    record_dir: Option<std::path::PathBuf>,
-    replay_dir: Option<std::path::PathBuf>,
-    stream_dir: Option<std::path::PathBuf>,
+    replay_dir: Option<PathBuf>,
+    stream_dir: Option<PathBuf>,
     crash: Option<CrashPlan>,
-    prior: Vec<Option<VisitOutcome<SiteScanRecord>>>,
-    prior_attempts: Vec<u32>,
-    #[allow(clippy::type_complexity)]
-    on_complete: Option<Box<dyn Fn(usize, &VisitOutcome<SiteScanRecord>, u32) + Sync + 'a>>,
 }
 
-impl<'a> Scan<'a> {
-    pub fn new(cfg: ScanConfig) -> Scan<'a> {
-        Scan {
-            cfg,
-            checkpoint: None,
-            record_dir: None,
-            replay_dir: None,
-            stream_dir: None,
-            crash: None,
-            prior: Vec::new(),
-            prior_attempts: Vec::new(),
-            on_complete: None,
-        }
+impl Scan {
+    pub fn new(cfg: ScanConfig) -> Scan {
+        Scan { cfg, replay_dir: None, stream_dir: None, crash: None }
     }
 
-    /// Record the scan into a crawl bundle at `dir`: every served script
-    /// body (content-deduplicated), page structure, typed outcome and
-    /// record fingerprint is archived, and the bundle is sealed with the
-    /// run's Table 5 and telemetry digest. Incompatible with
-    /// [`Scan::checkpoint`]/[`Scan::resume_from`] (replayed priors skip
-    /// the completion hook, which would leave holes in the bundle).
-    pub fn record(mut self, dir: impl Into<std::path::PathBuf>) -> Scan<'a> {
-        self.record_dir = Some(dir.into());
-        self
-    }
-
-    /// Re-run the whole measurement pipeline from the bundle at `dir`
-    /// instead of generating sites: the recorded scan configuration is
-    /// adopted (only `workers` is kept from this scan's config), pages are
-    /// served from the archive, and every re-derived outcome is verified
-    /// against the recorded one ([`ScanReport::replay`]). Incompatible
-    /// with checkpoint/record/resume_from.
-    pub fn replay(mut self, dir: impl Into<std::path::PathBuf>) -> Scan<'a> {
+    /// Re-run the whole measurement pipeline from the sealed bundle at
+    /// `dir` instead of generating sites: the recorded scan configuration
+    /// is adopted (only `workers` is kept from this scan's config), pages
+    /// are served from the archive, and every re-derived outcome is
+    /// verified against the recorded one ([`ScanReport::replay`]).
+    pub fn replay(mut self, dir: impl Into<PathBuf>) -> Scan {
         self.replay_dir = Some(dir.into());
         self
     }
 
-    /// Checkpoint to `path`: previously-determined sites are loaded and
-    /// replayed, every newly-determined site is appended as soon as it
-    /// completes. Interrupt the process (or set `cfg.visit_budget`) and
-    /// run again with the same path to resume; the final aggregates are
-    /// identical to an uninterrupted run. Overrides [`Scan::resume_from`].
-    pub fn checkpoint(mut self, path: impl Into<std::path::PathBuf>) -> Scan<'a> {
-        self.checkpoint = Some(path.into());
-        self
-    }
-
-    /// Crash-consistent streaming mode: archive the scan into the bundle
-    /// at `dir`, flushing every completed record to disk the moment it is
+    /// Crash-consistent streaming: archive the scan into the bundle at
+    /// `dir`, flushing every completed record to disk the moment it is
     /// determined and then *dropping it* — peak record memory is bounded
     /// by the worker count, not the site count. The bundle doubles as the
     /// checkpoint: each flushed record is acknowledged by one line in
     /// `<dir>/scan.ckpt` carrying the bundle's high-water mark, so a
-    /// killed crawl resumes by trusting exactly the acknowledged prefix,
-    /// discarding any torn tail, and re-visiting only in-flight sites.
-    /// The resumed run's per-site records, tables and telemetry digest
-    /// are byte-identical to an uninterrupted run. Incompatible with
-    /// checkpoint/record/replay/resume_from — streaming manages its own
-    /// checkpoint inside `dir`.
-    pub fn stream_to(mut self, dir: impl Into<std::path::PathBuf>) -> Scan<'a> {
+    /// killed (or `visit_budget`-limited) crawl resumes by running again
+    /// with the same `dir`: it trusts exactly the acknowledged prefix,
+    /// discards any torn tail, and re-visits only in-flight sites. The
+    /// resumed run's per-site records, tables and telemetry digest are
+    /// byte-identical to an uninterrupted run. Once every site is
+    /// determined the bundle is sealed with the run's Table 5 and
+    /// telemetry digest, and a further run refuses to touch it.
+    pub fn stream_to(mut self, dir: impl Into<PathBuf>) -> Scan {
         self.stream_dir = Some(dir.into());
         self
     }
@@ -743,395 +628,230 @@ impl<'a> Scan<'a> {
     /// panic — see [`openwpm::catch_crash`]) at the planned kill point
     /// during streaming flushes. Only meaningful with [`Scan::stream_to`];
     /// `run` rejects the combination otherwise.
-    pub fn inject_crash(mut self, plan: CrashPlan) -> Scan<'a> {
+    pub fn inject_crash(mut self, plan: CrashPlan) -> Scan {
         self.crash = Some(plan);
         self
     }
 
-    /// Resume from in-memory state: `prior[rank] = Some(outcome)` replays
-    /// a previously-determined outcome without re-visiting, and
-    /// `prior_attempts[rank]` carries its original attempt count (used by
-    /// the aggregated crawl history).
-    pub fn resume_from(
-        mut self,
-        prior: Vec<Option<VisitOutcome<SiteScanRecord>>>,
-        prior_attempts: Vec<u32>,
-    ) -> Scan<'a> {
-        self.prior = prior;
-        self.prior_attempts = prior_attempts;
-        self
+    /// Execute the session.
+    pub fn run(self) -> io::Result<ScanReport> {
+        let invalid_input = |msg| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        match (self.replay_dir, self.stream_dir) {
+            (Some(_), Some(_)) => invalid_input(
+                "Scan::replay cannot be combined with Scan::stream_to (a replay re-measures a \
+                 sealed bundle; it writes none)",
+            ),
+            (_, None) if self.crash.is_some() => invalid_input(
+                "Scan::inject_crash requires Scan::stream_to (kill points live in the streaming \
+                 flush path)",
+            ),
+            (Some(dir), None) => run_replay(self.cfg.workers, &dir),
+            (None, Some(dir)) => run_stream(self.cfg, &dir, self.crash),
+            (None, None) => Ok(run_plain(self.cfg)),
+        }
+    }
+}
+
+/// The report of a plain or replayed scan: `sites` holds every completed
+/// record, folded once into the table aggregates.
+fn collect_sites(
+    cfg: &ScanConfig,
+    source: &ScanSource,
+    capture: bool,
+    on_complete: impl Fn(usize, &VisitOutcome<SiteScanRecord>, u32) + Sync,
+) -> ScanReport {
+    let mut sites = Vec::new();
+    let mut aggregates = ScanAggregates::default();
+    let (completion, history) =
+        visit_sites(cfg, source, capture, Vec::new(), &[], |r| r, on_complete, |r| r, |rec| {
+            aggregates.add(&rec);
+            sites.push(rec);
+        });
+    ScanReport {
+        n_sites: cfg.n_sites,
+        sites,
+        completion,
+        history,
+        aggregates,
+        ..ScanReport::default()
+    }
+}
+
+fn run_plain(cfg: ScanConfig) -> ScanReport {
+    collect_sites(&cfg, &ScanSource::live(&cfg), false, |_, _, _| {})
+}
+
+fn run_replay(workers: usize, dir: &Path) -> io::Result<ScanReport> {
+    let bundle = Arc::new(ReplayBundle::open(dir)?);
+    // The recorded experiment defines the configuration; only the degree
+    // of parallelism stays the caller's (results are worker-count
+    // independent).
+    let cfg = bundle.scan_config(workers);
+    let verifier = Verifier::new(Arc::clone(&bundle));
+    let mut report = collect_sites(&cfg, &ScanSource::Replay(bundle), true, |rank, outcome, attempts| {
+        verifier.check(rank, outcome, attempts)
+    });
+    report.replay = Some(verifier.stats());
+    Ok(report)
+}
+
+fn run_stream(cfg: ScanConfig, dir: &Path, crash: Option<CrashPlan>) -> io::Result<ScanReport> {
+    let n = cfg.n_sites as usize;
+    std::fs::create_dir_all(dir)?;
+    let ckpt_path = dir.join(STREAM_CHECKPOINT_FILE);
+
+    // Per-visit registry deltas are captured for the checkpoint lines so a
+    // resume can restore exactly the metrics the replayed visits emitted.
+    // The guard turns capture back off even when an injected crash unwinds
+    // through the scan.
+    obs::set_scope_metrics(true);
+    let _scope_guard = ScopeMetricsGuard;
+
+    let (lines, ckpt_dropped) = match std::fs::read_to_string(&ckpt_path) {
+        Ok(c) => load_stream_checkpoint(checkpoint_body(&c, &ckpt_path)?, cfg.n_sites),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => (Vec::new(), 0),
+        Err(e) => return Err(e),
+    };
+    let resumed = !lines.is_empty();
+    if ckpt_dropped > 0 {
+        obs::add("crash.lines_dropped", ckpt_dropped as u64);
     }
 
-    /// Completion callback: fires once per newly-determined site (not for
-    /// replayed priors), from worker threads.
-    pub fn on_complete(
-        mut self,
-        f: impl Fn(usize, &VisitOutcome<SiteScanRecord>, u32) + Sync + 'a,
-    ) -> Scan<'a> {
-        self.on_complete = Some(Box::new(f));
-        self
-    }
+    let mut prior: Vec<Option<VisitOutcome<()>>> = (0..n).map(|_| None).collect();
+    let mut prior_attempts = vec![0u32; n];
+    let mut line_hashes: Vec<Option<u64>> = vec![None; n];
+    let mut agg = ScanAggregates::default();
+    let mut stream_stats = StreamStats {
+        resumed,
+        checkpoint_lines_dropped: ckpt_dropped as u64,
+        ..StreamStats::default()
+    };
+    let injector = crash.map(CrashInjector::new);
 
-    /// Execute the session. `Err` only for checkpoint/bundle I/O failures
-    /// or an invalid mode combination.
-    pub fn run(self) -> std::io::Result<ScanReport> {
-        if self.stream_dir.is_some() {
-            return self.run_stream();
-        }
-        if self.crash.is_some() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "Scan::inject_crash requires Scan::stream_to (kill points live in the \
-                 streaming flush path)",
-            ));
-        }
-        if self.replay_dir.is_some() {
-            return self.run_replay();
-        }
-        if self.record_dir.is_some() {
-            return self.run_record();
-        }
-        let cfg = self.cfg;
-        let source = ScanSource::live(&cfg);
-        let user = self.on_complete;
-        let Some(path) = self.checkpoint else {
-            let report = match &user {
-                Some(f) => {
-                    run_scan_inner(cfg, &source, self.prior, &self.prior_attempts, f, false)
-                }
-                None => run_scan_inner(
-                    cfg,
-                    &source,
-                    self.prior,
-                    &self.prior_attempts,
-                    &|_, _, _| {},
-                    false,
-                ),
+    let recorder = if resumed {
+        // The highest manifest offset any surviving line acknowledged
+        // bounds what the bundle is trusted for; everything past it is an
+        // unacknowledged (possibly torn) tail.
+        let max_hwm = lines.iter().map(|l| l.hwm).max().expect("resumed => non-empty");
+        let harvest = harvest_stream(dir, &cfg, max_hwm)?;
+        let mut consumed: HashSet<u32> = HashSet::new();
+        for line in &lines {
+            let Some(entry) = harvest.trusted.get(&line.rank) else {
+                return Err(invalid(format!(
+                    "{}: checkpoint line for rank {} has no bundle entry inside the trusted \
+                     prefix — checkpoint and bundle disagree",
+                    dir.display(),
+                    line.rank
+                )));
             };
-            return Ok(report);
-        };
-        let (prior, prior_attempts, dropped) = match std::fs::read_to_string(&path) {
-            Ok(contents) => load_checkpoint(checkpoint_body(&contents, &path)?, cfg.n_sites),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                ((0..cfg.n_sites).map(|_| None).collect(), vec![0u32; cfg.n_sites as usize], 0)
-            }
-            Err(e) => return Err(e),
-        };
-        let replayed = prior.iter().filter(|p| p.is_some()).count();
-        obs::emit(
-            obs::Event::new(0, "checkpoint_load")
-                .attr("replayed", replayed)
-                .attr("dropped", dropped),
-        );
-        let needs_header = match std::fs::metadata(&path) {
-            Ok(m) => m.len() == 0,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
-            Err(e) => return Err(e),
-        };
-        if needs_header {
-            // Fresh file: stamp the format version so a future (or past)
-            // build can refuse it loudly instead of mis-parsing. Written
-            // to a temp file and renamed into place — a kill mid-header
-            // can truncate an ordinary write, and a torn header would
-            // hard-error every later resume.
-            write_checkpoint_header_atomic(&path)?;
-        }
-        let file = std::fs::OpenOptions::new().append(true).open(&path)?;
-        let writer = Mutex::new(std::io::BufWriter::new(file));
-        let mut report =
-            run_scan_inner(cfg, &source, prior, &prior_attempts, &|rank, outcome, attempts| {
-                if let Some(line) = checkpoint_line(rank as u32, outcome, attempts) {
-                    let mut w = writer.lock().unwrap();
-                    // Write-and-flush per site keeps the checkpoint durable
-                    // at the cost of one syscall per site — negligible next
-                    // to a visit, and a kill loses at most the in-flight
-                    // line.
-                    let _ = writeln!(w, "{line}");
-                    let _ = w.flush();
-                    drop(w);
-                    obs::add("checkpoint.writes", 1);
-                    // Emitted inside the visit scope the supervisor holds
-                    // open during `on_complete`, so it lands in this site's
-                    // trace.
-                    obs::emit(obs::Event::new(0, "checkpoint_write").attr("rank", rank));
-                }
-                if let Some(f) = &user {
-                    f(rank, outcome, attempts);
-                }
-            }, false);
-        report.completion.checkpoint_lines_dropped = dropped;
-        Ok(report)
-    }
-
-    fn run_record(self) -> std::io::Result<ScanReport> {
-        if self.checkpoint.is_some() || !self.prior.is_empty() {
-            // Replayed priors skip `on_complete`, which would leave holes
-            // in the bundle — a recording run must determine every site.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "Scan::record cannot be combined with checkpoint/resume_from",
-            ));
-        }
-        let cfg = self.cfg;
-        let dir = self.record_dir.expect("run_record requires record_dir");
-        let recorder = Recorder::create(&dir, &cfg)?;
-        let user = self.on_complete;
-        let source = ScanSource::live(&cfg);
-        let prior = (0..cfg.n_sites).map(|_| None).collect();
-        let mut report = run_scan_inner(
-            cfg,
-            &source,
-            prior,
-            &[],
-            &|rank, outcome, attempts| {
-                recorder.record(rank, outcome, attempts);
-                if let Some(f) = &user {
-                    f(rank, outcome, attempts);
-                }
-            },
-            true,
-        );
-        report.archive = Some(recorder.finish(&report)?);
-        Ok(report)
-    }
-
-    fn run_replay(self) -> std::io::Result<ScanReport> {
-        if self.checkpoint.is_some() || self.record_dir.is_some() || !self.prior.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "Scan::replay cannot be combined with checkpoint/record/resume_from",
-            ));
-        }
-        let dir = self.replay_dir.expect("run_replay requires replay_dir");
-        let bundle = Arc::new(ReplayBundle::open(&dir)?);
-        // The recorded experiment defines the configuration; only the
-        // degree of parallelism stays the caller's (results are
-        // worker-count independent).
-        let cfg = bundle.scan_config(self.cfg.workers);
-        let verifier = Verifier::new(Arc::clone(&bundle));
-        let user = self.on_complete;
-        let source = ScanSource::Replay(bundle);
-        let prior = (0..cfg.n_sites).map(|_| None).collect();
-        let mut report = run_scan_inner(
-            cfg,
-            &source,
-            prior,
-            &[],
-            &|rank, outcome, attempts| {
-                verifier.check(rank, outcome, attempts);
-                if let Some(f) = &user {
-                    f(rank, outcome, attempts);
-                }
-            },
-            true,
-        );
-        report.replay = Some(verifier.stats());
-        Ok(report)
-    }
-
-    fn run_stream(self) -> std::io::Result<ScanReport> {
-        if self.checkpoint.is_some()
-            || self.record_dir.is_some()
-            || self.replay_dir.is_some()
-            || !self.prior.is_empty()
-        {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "Scan::stream_to cannot be combined with checkpoint/record/replay/resume_from \
-                 (streaming manages its own checkpoint at <dir>/scan.ckpt)",
-            ));
-        }
-        let cfg = self.cfg;
-        let n = cfg.n_sites as usize;
-        let dir = self.stream_dir.expect("run_stream requires stream_dir");
-        std::fs::create_dir_all(&dir)?;
-        let ckpt_path = dir.join(STREAM_CHECKPOINT_FILE);
-
-        // Per-visit registry deltas are captured for the checkpoint lines
-        // so a resume can restore exactly the metrics the replayed visits
-        // emitted. The guard turns capture back off even when an injected
-        // crash unwinds through the scan.
-        obs::set_scope_metrics(true);
-        let _scope_guard = ScopeMetricsGuard;
-
-        let ckpt_contents = match std::fs::read_to_string(&ckpt_path) {
-            Ok(c) => Some(c),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        let (lines, ckpt_dropped) = match &ckpt_contents {
-            Some(c) => {
-                let body = checkpoint_body(c, &ckpt_path)?;
-                load_stream_checkpoint(body, cfg.n_sites)
-            }
-            None => (Vec::new(), 0),
-        };
-        let resumed = !lines.is_empty();
-        if ckpt_dropped > 0 {
-            obs::add("crash.lines_dropped", ckpt_dropped as u64);
-        }
-
-        let mut prior: Vec<Option<VisitOutcome<()>>> = (0..n).map(|_| None).collect();
-        let mut prior_attempts = vec![0u32; n];
-        let mut line_hashes: Vec<Option<u64>> = vec![None; n];
-        let mut agg = ScanAggregates::default();
-        let mut stream_stats = StreamStats {
-            resumed,
-            checkpoint_lines_dropped: ckpt_dropped as u64,
-            ..StreamStats::default()
-        };
-        let injector = self.crash.map(CrashInjector::new);
-
-        let recorder = if resumed {
-            // The highest manifest offset any surviving line acknowledged
-            // bounds what the bundle is trusted for; everything past it
-            // is an unacknowledged (possibly torn) tail.
-            let max_hwm = lines.iter().map(|l| l.hwm).max().expect("resumed => non-empty");
-            let harvest = harvest_stream(&dir, &cfg, max_hwm)?;
-            let mut consumed: HashSet<u32> = HashSet::new();
-            for line in &lines {
-                let Some(entry) = harvest.trusted.get(&line.rank) else {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!(
-                            "{}: checkpoint line for rank {} has no bundle entry inside the \
-                             trusted prefix — checkpoint and bundle disagree",
+            match (&line.failed, entry.status.as_str()) {
+                (None, "ok") => {
+                    if line.entry_hash != Some(entry.hash) {
+                        return Err(invalid(format!(
+                            "{}: bundle entry for rank {} does not match its checkpoint line \
+                             (entry hash {:016x}, line acknowledges {:016x})",
+                            dir.display(),
+                            line.rank,
+                            entry.hash,
+                            line.entry_hash.unwrap_or(0)
+                        )));
+                    }
+                    let rec = decode_site_record(&entry.payload).ok_or_else(|| {
+                        invalid(format!(
+                            "{}: corrupt site record for rank {} inside the trusted prefix",
                             dir.display(),
                             line.rank
-                        ),
-                    ));
-                };
-                match (&line.failed, entry.status.as_str()) {
-                    (None, "ok") => {
-                        if line.entry_hash != Some(entry.hash) {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!(
-                                    "{}: bundle entry for rank {} does not match its checkpoint \
-                                     line (entry hash {:016x}, line acknowledges {:016x})",
-                                    dir.display(),
-                                    line.rank,
-                                    entry.hash,
-                                    line.entry_hash.unwrap_or(0)
-                                ),
-                            ));
-                        }
-                        let rec = decode_site_record(&entry.payload).ok_or_else(|| {
-                            std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!(
-                                    "{}: corrupt site record for rank {} inside the trusted \
-                                     prefix",
-                                    dir.display(),
-                                    line.rank
-                                ),
-                            )
-                        })?;
-                        agg.add(&rec);
-                        prior[line.rank as usize] = Some(VisitOutcome::Completed(()));
-                    }
-                    (Some(reason), "failed") => {
-                        prior[line.rank as usize] = Some(VisitOutcome::Failed {
-                            reason: reason.clone(),
-                            attempts: line.attempts,
-                        });
-                    }
-                    (_, other) => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!(
-                                "{}: status mismatch for rank {} — checkpoint says {}, bundle \
-                                 entry says {other}",
-                                dir.display(),
-                                line.rank,
-                                if line.failed.is_some() { "failed" } else { "flushed" },
-                            ),
-                        ));
-                    }
+                        ))
+                    })?;
+                    agg.add(&rec);
+                    prior[line.rank as usize] = Some(VisitOutcome::Completed(()));
                 }
-                prior_attempts[line.rank as usize] = line.attempts;
-                line_hashes[line.rank as usize] = Some(entry.hash);
-                obs::restore_metrics(&line.delta);
-                consumed.insert(line.rank);
-                stream_stats.records_replayed += 1;
-            }
-            let revisits = harvest.orphan_ranks.len() as u64
-                + harvest.trusted.keys().filter(|r| !consumed.contains(r)).count() as u64;
-            stream_stats.bundle_tail_dropped = harvest.tail_dropped;
-            stream_stats.revisits = revisits;
-            obs::add("crash.resume", 1);
-            obs::add("crash.tail_dropped", harvest.tail_dropped);
-            obs::add("crash.revisits", revisits);
-            obs::emit(
-                obs::Event::new(0, "stream_resume")
-                    .attr("replayed", stream_stats.records_replayed as usize)
-                    .attr("lines_dropped", ckpt_dropped)
-                    .attr("tail_dropped", harvest.tail_dropped as usize)
-                    .attr("revisits", revisits as usize),
-            );
-            let ckpt = std::fs::OpenOptions::new().append(true).open(&ckpt_path)?;
-            StreamRecorder::resume(&dir, &cfg, max_hwm, ckpt, line_hashes, injector)?
-        } else {
-            // Nothing trusted — a fresh directory, or a checkpoint whose
-            // every line was torn. Start clean: recreate both files (the
-            // bundle too, so a stale partial bundle can't leak in).
-            let ckpt = create_stream_checkpoint(&ckpt_path)?;
-            StreamRecorder::create(&dir, &cfg, ckpt, injector)?
-        };
-
-        let agg = Mutex::new(agg);
-        let gauge = Arc::new(InFlight::default());
-        let user = self.on_complete;
-        let source = ScanSource::live(&cfg);
-        let hook = |rank: usize, outcome: &VisitOutcome<TrackedRecord>, attempts: u32| {
-            // Capture the visit's registry delta first: everything the
-            // visit emitted, and none of the flush's own (digest-excluded)
-            // bookkeeping below.
-            let delta = obs::take_scope_metrics().map(|m| m.encode()).unwrap_or_default();
-            match outcome {
-                VisitOutcome::Completed(t) => {
-                    agg.lock().unwrap_or_else(|e| e.into_inner()).add(&t.rec);
-                    recorder.flush(rank as u32, StreamOutcome::Ok(&t.rec), attempts, &delta);
-                    if let Some(f) = &user {
-                        // The user hook keeps the classic signature; the
-                        // clone only costs when a hook is installed.
-                        f(rank, &VisitOutcome::Completed(t.rec.clone()), attempts);
-                    }
+                (Some(reason), "failed") => {
+                    prior[line.rank as usize] = Some(VisitOutcome::Failed {
+                        reason: reason.clone(),
+                        attempts: line.attempts,
+                    });
                 }
-                VisitOutcome::Failed { reason, attempts: a } => {
-                    recorder.flush(rank as u32, StreamOutcome::Failed(reason), attempts, &delta);
-                    if let Some(f) = &user {
-                        f(rank, &VisitOutcome::Failed { reason: reason.clone(), attempts: *a }, attempts);
-                    }
-                }
-                VisitOutcome::Interrupted => {
-                    if let Some(f) = &user {
-                        f(rank, &VisitOutcome::Interrupted, attempts);
-                    }
+                (_, other) => {
+                    return Err(invalid(format!(
+                        "{}: status mismatch for rank {} — checkpoint says {}, bundle entry \
+                         says {other}",
+                        dir.display(),
+                        line.rank,
+                        if line.failed.is_some() { "failed" } else { "flushed" },
+                    )));
                 }
             }
-        };
-        let (summary, history) = run_stream_scan(cfg, &source, prior, &prior_attempts, &gauge, &hook);
+            prior_attempts[line.rank as usize] = line.attempts;
+            line_hashes[line.rank as usize] = Some(entry.hash);
+            obs::restore_metrics(&line.delta);
+            consumed.insert(line.rank);
+            stream_stats.records_replayed += 1;
+        }
+        let revisits = harvest.orphan_ranks.len() as u64
+            + harvest.trusted.keys().filter(|r| !consumed.contains(r)).count() as u64;
+        stream_stats.bundle_tail_dropped = harvest.tail_dropped;
+        stream_stats.revisits = revisits;
+        obs::add("crash.resume", 1);
+        obs::add("crash.tail_dropped", harvest.tail_dropped);
+        obs::add("crash.revisits", revisits);
+        obs::emit(
+            obs::Event::new(0, "stream_resume")
+                .attr("replayed", stream_stats.records_replayed as usize)
+                .attr("lines_dropped", ckpt_dropped)
+                .attr("tail_dropped", harvest.tail_dropped as usize)
+                .attr("revisits", revisits as usize),
+        );
+        let ckpt = std::fs::OpenOptions::new().append(true).open(&ckpt_path)?;
+        StreamRecorder::resume(dir, &cfg, max_hwm, ckpt, line_hashes, injector)?
+    } else {
+        // Nothing trusted — a fresh directory, or a checkpoint whose every
+        // line was torn. Start clean: recreate both files (the bundle too,
+        // so a stale partial bundle can't leak in).
+        refuse_sealed_dir(dir)?;
+        let ckpt = create_stream_checkpoint(&ckpt_path)?;
+        StreamRecorder::create(dir, &cfg, ckpt, injector)?
+    };
 
-        let mut completion = summary;
-        completion.checkpoint_lines_dropped = ckpt_dropped;
-        let agg = agg.into_inner().unwrap_or_else(|e| e.into_inner());
-        let table5 = agg.table5();
-        let (archive_stats, flushed) = recorder.finish(&completion, table5)?;
-        stream_stats.records_flushed = flushed;
-        stream_stats.peak_records_in_flight = gauge.peak.load(Ordering::Relaxed);
-        stream_stats.committed = archive_stats.is_some();
-        Ok(ScanReport {
-            n_sites: cfg.n_sites,
-            sites: Vec::new(),
-            completion,
-            history,
-            archive: archive_stats,
-            replay: None,
-            aggregates: Some(agg),
-            stream: Some(stream_stats),
-        })
-    }
+    let agg = Mutex::new(agg);
+    let gauge = Arc::new(InFlight::default());
+    let flush = |rank: usize, outcome: &VisitOutcome<TrackedRecord>, attempts: u32| {
+        // Capture the visit's registry delta first: everything the visit
+        // emitted, and none of the flush's own (digest-excluded)
+        // bookkeeping below.
+        let delta = obs::take_scope_metrics().map(|m| m.encode()).unwrap_or_default();
+        match outcome {
+            VisitOutcome::Completed(t) => {
+                agg.lock().unwrap_or_else(|e| e.into_inner()).add(&t.rec);
+                recorder.flush(rank as u32, StreamOutcome::Ok(&t.rec), attempts, &delta);
+            }
+            VisitOutcome::Failed { reason, .. } => {
+                recorder.flush(rank as u32, StreamOutcome::Failed(reason), attempts, &delta);
+            }
+            VisitOutcome::Interrupted => {}
+        }
+    };
+    let track = |rec| TrackedRecord::new(rec, Arc::clone(&gauge));
+    let source = ScanSource::live(&cfg);
+    let (mut completion, history) =
+        visit_sites(&cfg, &source, true, prior, &prior_attempts, track, flush, |_| (), |()| {});
+
+    completion.checkpoint_lines_dropped = ckpt_dropped;
+    let aggregates = agg.into_inner().unwrap_or_else(|e| e.into_inner());
+    let (archive_stats, flushed) = recorder.finish(&completion, aggregates.table5())?;
+    stream_stats.records_flushed = flushed;
+    stream_stats.peak_records_in_flight = gauge.peak.load(Ordering::Relaxed);
+    stream_stats.committed = archive_stats.is_some();
+    Ok(ScanReport {
+        n_sites: cfg.n_sites,
+        sites: Vec::new(),
+        completion,
+        history,
+        archive: archive_stats,
+        replay: None,
+        aggregates,
+        stream: Some(stream_stats),
+    })
 }
 
 struct ScopeMetricsGuard;
@@ -1143,7 +863,7 @@ impl Drop for ScopeMetricsGuard {
 }
 
 /// Where a scan's site content comes from: the deterministic generator
-/// (live) or a recorded crawl bundle (replay). `run_scan_inner` is
+/// (live) or a recorded crawl bundle (replay). `visit_sites` is
 /// source-agnostic — the supervisor, browser, instruments and detection
 /// pipeline run identically either way.
 pub(crate) enum ScanSource {
@@ -1202,20 +922,30 @@ impl ScanSource {
     }
 }
 
-/// The supervised scan core shared by every [`Scan`] flavour.
-fn run_scan_inner(
-    cfg: ScanConfig,
+/// The supervised visit loop behind every [`Scan`] mode. Each completed
+/// record is `wrap`ped for `on_complete`, then `fold`ed down to what the
+/// outcome vector keeps: the record itself for plain and replayed scans,
+/// `()` for a stream, whose `on_complete` has already flushed it to disk.
+/// `keep` receives the kept value of every completed site in rank order;
+/// priors (a stream resume's trusted prefix) arrive already folded, with
+/// their original attempt counts in `prior_attempts`.
+#[allow(clippy::too_many_arguments)]
+fn visit_sites<R: Send, T: Send + Clone>(
+    cfg: &ScanConfig,
     source: &ScanSource,
-    prior: Vec<Option<VisitOutcome<SiteScanRecord>>>,
-    prior_attempts: &[u32],
-    on_complete: &(dyn Fn(usize, &VisitOutcome<SiteScanRecord>, u32) + Sync),
     capture: bool,
-) -> ScanReport {
+    prior: Vec<Option<VisitOutcome<T>>>,
+    prior_attempts: &[u32],
+    wrap: impl Fn(SiteScanRecord) -> R + Sync,
+    on_complete: impl Fn(usize, &VisitOutcome<R>, u32) + Sync,
+    fold: impl Fn(R) -> T + Sync,
+    mut keep: impl FnMut(T),
+) -> (CrawlSummary, Vec<CrawlHistoryRecord>) {
     let ranks: Vec<u32> = (0..cfg.n_sites).collect();
     let seed = cfg.seed;
     let interact = cfg.simulate_interaction;
     let phase = obs::phase("scan.visits");
-    let crawl = run_supervised_fallible(
+    let crawl = run_supervised_folding(
         ranks,
         cfg.workers,
         cfg.supervisor(),
@@ -1232,14 +962,14 @@ fn run_scan_inner(
         move |browser, _idx, rank: &u32| {
             browser.set_visit_key(*rank as u64);
             let visit = source.site_visit(*rank);
-            scan_site_visit(browser, &visit, capture)
+            scan_site_visit(browser, &visit, capture).map(&wrap)
         },
         prior,
         on_complete,
+        |_, r, _| fold(r),
     );
     drop(phase);
     let _phase = obs::phase("scan.aggregate");
-    let mut sites = Vec::new();
     let mut history = Vec::with_capacity(crawl.outcomes.len());
     for (i, outcome) in crawl.outcomes.into_iter().enumerate() {
         let rank = i as u32;
@@ -1251,34 +981,18 @@ fn run_scan_inner(
         } else {
             prior_attempts.get(i).copied().unwrap_or(1)
         };
-        match outcome {
-            VisitOutcome::Completed(rec) => {
-                history.push(CrawlHistoryRecord::ok(rank as u64, &url, attempts));
-                sites.push(rec);
+        history.push(match outcome {
+            VisitOutcome::Completed(kept) => {
+                keep(kept);
+                CrawlHistoryRecord::ok(rank as u64, &url, attempts)
             }
             VisitOutcome::Failed { reason, attempts } => {
-                history.push(CrawlHistoryRecord::failed(
-                    rank as u64,
-                    &url,
-                    reason.as_str(),
-                    attempts,
-                ));
+                CrawlHistoryRecord::failed(rank as u64, &url, reason.as_str(), attempts)
             }
-            VisitOutcome::Interrupted => {
-                history.push(CrawlHistoryRecord::interrupted(rank as u64, &url));
-            }
-        }
+            VisitOutcome::Interrupted => CrawlHistoryRecord::interrupted(rank as u64, &url),
+        });
     }
-    ScanReport {
-        n_sites: cfg.n_sites,
-        sites,
-        completion: crawl.summary,
-        history,
-        archive: None,
-        replay: None,
-        aggregates: None,
-        stream: None,
-    }
+    (crawl.summary, history)
 }
 
 /// Gauge of completed [`SiteScanRecord`]s currently alive in memory.
@@ -1313,80 +1027,14 @@ impl Drop for TrackedRecord {
     }
 }
 
-/// The streaming counterpart of [`run_scan_inner`]: identical visit
-/// pipeline, but records are folded to `()` the moment the flush hook
-/// returns, so the outcome vector never holds site payloads and memory
-/// stays bounded by the in-flight window.
-fn run_stream_scan(
-    cfg: ScanConfig,
-    source: &ScanSource,
-    prior: Vec<Option<VisitOutcome<()>>>,
-    prior_attempts: &[u32],
-    gauge: &Arc<InFlight>,
-    on_complete: &(dyn Fn(usize, &VisitOutcome<TrackedRecord>, u32) + Sync),
-) -> (CrawlSummary, Vec<CrawlHistoryRecord>) {
-    let ranks: Vec<u32> = (0..cfg.n_sites).collect();
-    let seed = cfg.seed;
-    let interact = cfg.simulate_interaction;
-    let g = Arc::clone(gauge);
-    let phase = obs::phase("scan.visits");
-    let crawl = run_supervised_folding(
-        ranks,
-        cfg.workers,
-        cfg.supervisor(),
-        |rank: &u32| source.meta(*rank),
-        move |worker| {
-            let mut config = BrowserConfig::scanner(seed);
-            config.simulate_interaction = interact;
-            Browser::new(config).with_instance(worker as u32)
-        },
-        move |browser, _idx, rank: &u32| {
-            browser.set_visit_key(*rank as u64);
-            let visit = source.site_visit(*rank);
-            scan_site_visit(browser, &visit, true)
-                .map(|rec| TrackedRecord::new(rec, Arc::clone(&g)))
-        },
-        prior,
-        on_complete,
-        |_, _rec, _| (),
-    );
-    drop(phase);
-    let _phase = obs::phase("scan.aggregate");
-    let mut history = Vec::with_capacity(crawl.outcomes.len());
-    for (i, outcome) in crawl.outcomes.into_iter().enumerate() {
-        let rank = i as u32;
-        let url = source.front_url(rank);
-        let attempts = if crawl.attempts[i] > 0 {
-            crawl.attempts[i]
-        } else {
-            prior_attempts.get(i).copied().unwrap_or(1)
-        };
-        match outcome {
-            VisitOutcome::Completed(()) => {
-                history.push(CrawlHistoryRecord::ok(rank as u64, &url, attempts));
-            }
-            VisitOutcome::Failed { reason, attempts } => {
-                history.push(CrawlHistoryRecord::failed(
-                    rank as u64,
-                    &url,
-                    reason.as_str(),
-                    attempts,
-                ));
-            }
-            VisitOutcome::Interrupted => {
-                history.push(CrawlHistoryRecord::interrupted(rank as u64, &url));
-            }
-        }
-    }
-    (crawl.summary, history)
-}
-
 // --- checkpoint serialisation ---------------------------------------------
 //
-// One line per determined site, ASCII control characters as separators
-// (they cannot occur in generated domains, URLs or property names):
-// US (\x1f) between top-level fields, RS (\x1e) between record fields,
-// GS (\x1d) between list elements, FS (\x1c) inside pairs.
+// A streamed scan acknowledges every bundle append with one line of
+// `<dir>/scan.ckpt`. ASCII control characters separate fields (they cannot
+// occur in generated domains, URLs or property names): US (\x1f) between
+// top-level fields; a site record (the bundle entry payload) uses RS
+// (\x1e) between its fields, GS (\x1d) between list elements and FS
+// (\x1c) inside pairs.
 //
 // v3 lines carry six US-separated body fields plus a checksum:
 //
@@ -1394,17 +1042,15 @@ fn run_stream_scan(
 //
 // where status/payload is one of
 //
-//   ok      <encoded SiteScanRecord>   (classic checkpoint; hwm+delta empty)
+//   flushed <fnv1a of the bundle entry, 016x>
 //   failed  <failure reason>
-//   flushed <fnv1a of the bundle entry, 016x>   (streaming only)
 //
 // `hwm` is the bundle-manifest high-water mark (016x) the line
-// acknowledges and `delta` the visit's captured registry metrics —
-// both only written by streaming mode; classic lines leave them empty.
+// acknowledges and `delta` the visit's captured registry metrics.
 //
 // Interrupted sites are not written — resuming re-visits them. A torn
-// final line (crawl killed mid-write) fails to parse and is skipped, so
-// that site is simply re-visited too.
+// final line (crawl killed mid-write) fails its checksum and is skipped,
+// so that site is simply re-visited too.
 
 const US: char = '\x1f';
 const RS: char = '\x1e';
@@ -1503,7 +1149,7 @@ fn split_list(s: &str) -> Vec<&str> {
     }
 }
 
-/// Serialise a completed site record for the checkpoint file.
+/// Serialise a completed site record (the payload of a bundle entry).
 pub fn encode_site_record(r: &SiteScanRecord) -> String {
     let fields = [
         r.rank.to_string(),
@@ -1550,39 +1196,6 @@ pub fn decode_site_record(s: &str) -> Option<SiteScanRecord> {
     })
 }
 
-/// FNV-1a over a checkpoint line body. A torn write can truncate a line at
-/// a point where the prefix still *parses* (e.g. mid-way through the final
-/// hash list), so every line carries its own checksum.
-fn line_checksum(body: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in body.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// One checkpoint line for a determined outcome (`None` for interrupted
-/// sites, which must be re-visited on resume). Classic mode: the
-/// high-water-mark and delta fields stay empty.
-pub fn checkpoint_line(
-    rank: u32,
-    outcome: &VisitOutcome<SiteScanRecord>,
-    attempts: u32,
-) -> Option<String> {
-    let body = match outcome {
-        VisitOutcome::Completed(rec) => {
-            format!("{rank}{US}ok{US}{attempts}{US}{}{US}{US}", encode_site_record(rec))
-        }
-        VisitOutcome::Failed { reason, attempts } => {
-            format!("{rank}{US}failed{US}{attempts}{US}{}{US}{US}", reason.as_str())
-        }
-        VisitOutcome::Interrupted => return None,
-    };
-    let sum = line_checksum(&body);
-    Some(format!("{body}{US}{sum:016x}"))
-}
-
 /// One streaming checkpoint line acknowledging the bundle append that
 /// ended at manifest offset `hwm`, carrying the visit's captured
 /// registry-metrics delta.
@@ -1595,7 +1208,10 @@ pub(crate) fn stream_checkpoint_line(
     delta: &str,
 ) -> String {
     let body = format!("{rank}{US}{status}{US}{attempts}{US}{payload}{US}{hwm:016x}{US}{delta}");
-    let sum = line_checksum(&body);
+    // A torn write can truncate a line where the prefix still *parses*
+    // (e.g. mid-way through the metrics delta), so every line carries
+    // its own FNV-1a checksum.
+    let sum = fnv1a(body.as_bytes());
     format!("{body}{US}{sum:016x}")
 }
 
@@ -1612,7 +1228,7 @@ struct CheckpointFields<'s> {
 
 fn checkpoint_fields(line: &str) -> Option<CheckpointFields<'_>> {
     let (body, sum) = line.rsplit_once(US)?;
-    if u64::from_str_radix(sum, 16).ok()? != line_checksum(body) {
+    if u64::from_str_radix(sum, 16).ok()? != fnv1a(body.as_bytes()) {
         return None;
     }
     let parts: Vec<&str> = body.split(US).collect();
@@ -1627,70 +1243,6 @@ fn checkpoint_fields(line: &str) -> Option<CheckpointFields<'_>> {
         hwm,
         delta,
     })
-}
-
-/// Parse one checkpoint line into `(rank, outcome, attempts)`. Streaming
-/// `flushed` lines return `None` — their payload is a bundle-entry hash,
-/// not a record; resolving them requires the bundle
-/// ([`Scan::stream_to`]'s resume path does that internally).
-pub fn parse_checkpoint_line(
-    line: &str,
-) -> Option<(u32, VisitOutcome<SiteScanRecord>, u32)> {
-    let f = checkpoint_fields(line)?;
-    let outcome = match f.status {
-        "ok" => VisitOutcome::Completed(decode_site_record(f.payload)?),
-        "failed" => VisitOutcome::Failed {
-            reason: FailureReason::decode(f.payload),
-            attempts: f.attempts,
-        },
-        _ => return None,
-    };
-    Some((f.rank, outcome, f.attempts))
-}
-
-/// Load checkpoint file contents into resume state for an `n_sites` scan.
-/// Malformed lines (e.g. a torn final write) and out-of-range ranks are
-/// skipped — those sites are simply re-visited — but *counted*: the third
-/// element reports how many lines were dropped, which flows into
-/// [`CrawlSummary::checkpoint_lines_dropped`] and the coverage line, so a
-/// corrupted checkpoint can't silently masquerade as a clean resume.
-pub fn load_checkpoint(
-    contents: &str,
-    n_sites: u32,
-) -> (Vec<Option<VisitOutcome<SiteScanRecord>>>, Vec<u32>, usize) {
-    let mut prior: Vec<Option<VisitOutcome<SiteScanRecord>>> =
-        (0..n_sites).map(|_| None).collect();
-    let mut attempts = vec![0u32; n_sites as usize];
-    let mut dropped = 0usize;
-    for (lineno, line) in contents.lines().enumerate() {
-        match parse_checkpoint_line(line) {
-            Some((rank, outcome, att)) if (rank as usize) < prior.len() => {
-                attempts[rank as usize] = att;
-                prior[rank as usize] = Some(outcome);
-            }
-            Some((rank, _, _)) => {
-                dropped += 1;
-                obs::add("checkpoint.lines_dropped", 1);
-                obs::emit(
-                    obs::Event::new(0, "checkpoint_dropped_line")
-                        .attr("line", lineno + 1)
-                        .attr("cause", "rank_out_of_range")
-                        .attr("rank", rank),
-                );
-            }
-            None => {
-                dropped += 1;
-                obs::add("checkpoint.lines_dropped", 1);
-                obs::add("crash.checkpoint.torn", 1);
-                obs::emit(
-                    obs::Event::new(0, "checkpoint_dropped_line")
-                        .attr("line", lineno + 1)
-                        .attr("cause", "torn_or_corrupt"),
-                );
-            }
-        }
-    }
-    (prior, attempts, dropped)
 }
 
 /// The checkpoint file a streamed scan keeps inside its bundle directory.
@@ -1711,7 +1263,7 @@ struct StreamLine {
 }
 
 /// Load a streaming checkpoint body. Lines that are torn, corrupt,
-/// out-of-range, classic-format, or carry an undecodable metrics delta
+/// out-of-range, of an unknown status, or carry an undecodable metrics delta
 /// are dropped and counted — the affected sites are re-visited; nothing
 /// is trusted on spec.
 fn load_stream_checkpoint(contents: &str, n_sites: u32) -> (Vec<StreamLine>, usize) {
@@ -1806,9 +1358,9 @@ mod tests {
     fn static_and_dynamic_have_exclusive_findings() {
         let report = small_scan();
         let static_only =
-            report.count(|s| s.site.static_true && !s.site.dynamic_true);
+            report.count(|_, site| site.static_true && !site.dynamic_true);
         let dynamic_only =
-            report.count(|s| s.site.dynamic_true && !s.site.static_true);
+            report.count(|_, site| site.dynamic_true && !site.static_true);
         assert!(static_only > 0, "hover-gated detectors must be static-only");
         assert!(dynamic_only > 0, "constructed probes must be dynamic-only");
     }
@@ -1816,12 +1368,12 @@ mod tests {
     #[test]
     fn subpages_increase_detection() {
         let report = small_scan();
-        let front = report.count(|s| s.front.union_true());
-        let site = report.count(|s| s.site.union_true());
+        let front = report.count(|front, _| front.union_true());
+        let site = report.count(|_, site| site.union_true());
         assert!(site > front, "subpage scan must add detector sites: {front} vs {site}");
         // Paper: ≥ 37% more sites with active (dynamic) detectors.
-        let front_dyn = report.count(|s| s.front.dynamic_true);
-        let site_dyn = report.count(|s| s.site.dynamic_true);
+        let front_dyn = report.count(|front, _| front.dynamic_true);
+        let site_dyn = report.count(|_, site| site.dynamic_true);
         assert!(
             site_dyn as f64 >= front_dyn as f64 * 1.15,
             "dynamic uplift too small: {front_dyn} -> {site_dyn}"
@@ -1891,16 +1443,16 @@ mod tests {
             simulate_interaction: true,
             ..ScanConfig::new(600, 11)
         }).run().expect("scan");
-        let passive_dyn = passive.count(|s| s.site.dynamic_true);
-        let active_dyn = active.count(|s| s.site.dynamic_true);
+        let passive_dyn = passive.count(|_, site| site.dynamic_true);
+        let active_dyn = active.count(|_, site| site.dynamic_true);
         assert!(
             active_dyn > passive_dyn,
             "interaction must add dynamic findings: {passive_dyn} -> {active_dyn}"
         );
         // Static findings are unaffected by interaction.
         assert_eq!(
-            passive.count(|s| s.site.static_true),
-            active.count(|s| s.site.static_true)
+            passive.count(|_, site| site.static_true),
+            active.count(|_, site| site.static_true)
         );
     }
 
@@ -1921,7 +1473,7 @@ mod tests {
         let buckets = report.rank_buckets(100);
         assert_eq!(buckets.len(), 8);
         let front_static_total: u32 = buckets.iter().map(|b| b[0]).sum();
-        assert_eq!(front_static_total, report.count(|s| s.front.static_true));
+        assert_eq!(front_static_total, report.count(|front, _| front.static_true));
     }
 
     #[test]
@@ -1994,67 +1546,75 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_lines_roundtrip_and_reject_garbage() {
-        let rec = SiteScanRecord {
-            rank: 17,
-            domain: "w000017.io".into(),
-            categories: vec![Category::News, Category::Other],
-            front: PageFlags { static_true: true, ..PageFlags::default() },
-            site: PageFlags {
-                static_identified: true,
-                static_true: true,
-                ..PageFlags::default()
-            },
-            openwpm_probes: vec![("cheqzone.com".into(), "jsInstruments".into())],
-            third_party_domains: vec!["yandex.ru".into()],
-            first_party_urls: vec!["https://w000017.io/akam/11/x".into()],
-            script_hashes: vec![1, 0xDEAD_BEEF],
+    fn arbitrary_record(rng: &mut proplite::Rng) -> SiteScanRecord {
+        let flags = |rng: &mut proplite::Rng| PageFlags {
+            static_identified: rng.bool(),
+            static_true: rng.bool(),
+            dynamic_identified: rng.bool(),
+            dynamic_true: rng.bool(),
         };
-        let ok_line =
-            checkpoint_line(17, &VisitOutcome::Completed(rec.clone()), 2).unwrap();
-        let (rank, outcome, attempts) = parse_checkpoint_line(&ok_line).unwrap();
-        assert_eq!(rank, 17);
-        assert_eq!(attempts, 2);
-        assert_eq!(outcome.completed().unwrap().domain, rec.domain);
+        let cats = Category::all();
+        SiteScanRecord {
+            rank: rng.u32_in(0, 100_000),
+            domain: format!("{}.com", rng.ascii(1, 24)),
+            categories: (0..rng.usize_in(0, 3))
+                .map(|_| cats[rng.usize_in(0, cats.len() - 1)])
+                .collect(),
+            front: flags(rng),
+            site: flags(rng),
+            openwpm_probes: (0..rng.usize_in(0, 4))
+                .map(|_| (rng.ascii(1, 16), rng.ascii(1, 16)))
+                .collect(),
+            third_party_domains: (0..rng.usize_in(0, 5)).map(|_| rng.ascii(1, 20)).collect(),
+            first_party_urls: (0..rng.usize_in(0, 3))
+                .map(|_| format!("https://{}/{}.js", rng.ascii(1, 12), rng.ascii(1, 12)))
+                .collect(),
+            script_hashes: (0..rng.usize_in(0, 8)).map(|_| rng.next_u64()).collect(),
+        }
+    }
 
-        let fail_line = checkpoint_line(
-            3,
-            &VisitOutcome::Failed { reason: FailureReason::Timeout, attempts: 3 },
-            3,
-        )
-        .unwrap();
-        let (rank, outcome, _) = parse_checkpoint_line(&fail_line).unwrap();
-        assert_eq!(rank, 3);
-        assert_eq!(
-            outcome,
-            VisitOutcome::Failed { reason: FailureReason::Timeout, attempts: 3 }
-        );
+    /// Property: checkpoint serialisation round-trips arbitrary scan
+    /// records and whole streaming checkpoint lines exactly; garbage and
+    /// torn lines are rejected.
+    #[test]
+    fn checkpoint_encoding_roundtrips_arbitrary_records() {
+        proplite::run_cases(300, 0xC4EC, |rng| {
+            let rec = arbitrary_record(rng);
+            let encoded = encode_site_record(&rec);
+            let decoded = decode_site_record(&encoded).expect("encoded record must decode");
+            assert_eq!(decoded, rec);
 
-        assert!(checkpoint_line(5, &VisitOutcome::Interrupted, 0).is_none());
-        assert!(parse_checkpoint_line("").is_none());
-        assert!(parse_checkpoint_line("garbage").is_none());
-        // A torn ok-line (payload truncated mid-record) fails cleanly.
-        let torn = &ok_line[..ok_line.len() - 20];
-        assert!(parse_checkpoint_line(torn).is_none());
+            let rank = rng.u32_in(0, 100_000);
+            let attempts = rng.u32_in(1, 5);
+            let hwm = rng.next_u64();
+            let entry_hash = format!("{:016x}", fnv1a(encoded.as_bytes()));
+            let line = stream_checkpoint_line(rank, "flushed", attempts, &entry_hash, hwm, "");
+            let f = checkpoint_fields(&line).expect("line must parse");
+            assert_eq!(
+                (f.rank, f.status, f.attempts, f.payload, f.hwm, f.delta),
+                (rank, "flushed", attempts, entry_hash.as_str(), format!("{hwm:016x}").as_str(), "")
+            );
+            let torn = &line[..rng.usize_in(0, line.len() - 1)];
+            assert!(checkpoint_fields(torn).is_none(), "torn line {torn:?} must not parse");
+        });
+        assert!(checkpoint_fields("").is_none());
+        assert!(checkpoint_fields("garbage").is_none());
     }
 
     #[test]
-    fn load_checkpoint_counts_bad_lines_and_out_of_range_ranks() {
-        let rec = Scan::new(ScanConfig::new(20, 3)).run().expect("scan").sites[4].clone();
-        let good = checkpoint_line(4, &VisitOutcome::Completed(rec), 1).unwrap();
-        let out_of_range = checkpoint_line(
-            500,
-            &VisitOutcome::Failed { reason: FailureReason::Panic, attempts: 3 },
-            3,
-        )
-        .unwrap();
-        let contents = format!("{good}\nnot a line\n{out_of_range}\n");
-        let (prior, attempts, dropped) = load_checkpoint(&contents, 20);
-        assert_eq!(prior.iter().filter(|p| p.is_some()).count(), 1);
-        assert!(prior[4].is_some());
-        assert_eq!(attempts[4], 1);
-        assert_eq!(dropped, 2, "torn line + out-of-range rank must be counted");
+    fn stream_checkpoint_load_counts_bad_lines_and_out_of_range_ranks() {
+        let good = stream_checkpoint_line(4, "flushed", 1, &format!("{:016x}", 7u64), 0x40, "");
+        let failed = stream_checkpoint_line(6, "failed", 3, "panic", 0x80, "");
+        let out_of_range = stream_checkpoint_line(500, "failed", 3, "panic", 0xc0, "");
+        let unknown_status = stream_checkpoint_line(5, "ok", 1, "payload", 0xd0, "");
+        let torn = &good[..good.len() - 3];
+        let contents = format!("{good}\nnot a line\n{failed}\n{out_of_range}\n{unknown_status}\n{torn}\n");
+        let (lines, dropped) = load_stream_checkpoint(&contents, 20);
+        let ranks: Vec<u32> = lines.iter().map(|l| l.rank).collect();
+        assert_eq!(ranks, vec![4, 6]);
+        assert_eq!((lines[0].entry_hash, lines[0].hwm, lines[0].attempts), (Some(7), 0x40, 1));
+        assert_eq!(lines[1].failed, Some(FailureReason::Panic));
+        assert_eq!(dropped, 4, "garbage, out-of-range, unknown-status and torn lines must be counted");
     }
 
     #[test]

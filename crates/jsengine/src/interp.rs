@@ -230,8 +230,8 @@ impl Interp {
         self.eval_program(&program, &Arc::from(script_name))
     }
 
-    /// Execute a pre-compiled script artifact. The shared
-    /// [`Program`](crate::ast::Program) is never mutated, so one
+    /// Execute a pre-compiled script artifact. The shared [`Program`] is
+    /// never mutated, so one
     /// [`CompiledScript`](crate::compile::CompiledScript) can serve every
     /// interpreter in the process.
     pub fn eval_compiled(

@@ -6,7 +6,7 @@
 //!
 //! 1. **Determinism.** A seeded crawl must produce byte-identical journals
 //!    and metric snapshots regardless of worker count. Events from worker
-//!    threads are buffered in per-thread [`scope`]s and written by the
+//!    threads are buffered in per-thread scopes and written by the
 //!    coordinator in item order; timestamps come from the simulated clock,
 //!    never the wall clock (unless explicitly opted in).
 //! 2. **Zero cost when off.** With neither `GULLIBLE_TRACE` nor

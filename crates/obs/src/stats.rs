@@ -22,18 +22,19 @@ pub fn config_hash(pairs: &[(&str, String)]) -> u64 {
     crate::fnv1a(rendered.as_bytes())
 }
 
-/// One-line machine-readable provenance footer.
+/// One-line machine-readable provenance footer. `snapshot` is `None`
+/// when stats were never collected: the footer then says
+/// `telemetry=off` rather than asserting the digest of an empty snapshot.
 pub fn provenance_footer(
     bin: &str,
     seed: u64,
     config: u64,
-    snapshot: &Snapshot,
+    snapshot: Option<&Snapshot>,
     coverage: Option<&str>,
 ) -> String {
-    let mut out = format!(
-        "[provenance] bin={bin} seed={seed} config={config:016x} telemetry={:016x}",
-        snapshot.digest()
-    );
+    let telemetry = snapshot.map_or("off".to_string(), |s| format!("{:016x}", s.digest()));
+    let mut out =
+        format!("[provenance] bin={bin} seed={seed} config={config:016x} telemetry={telemetry}");
     if let Some(cov) = coverage {
         let _ = write!(out, " coverage=\"{cov}\"");
     }
@@ -208,10 +209,15 @@ mod tests {
         let reg = Registry::new();
         reg.add("x", 3);
         let snap = reg.snapshot();
-        let f = provenance_footer("table05", 42, 0xabcd, &snap, Some("100/100 sites"));
+        let f = provenance_footer("table05", 42, 0xabcd, Some(&snap), Some("100/100 sites"));
         assert!(f.starts_with("[provenance] bin=table05 seed=42 config=000000000000abcd"));
-        assert!(f.contains("telemetry="));
+        assert!(f.contains(&format!("telemetry={:016x} ", snap.digest())), "{f}");
         assert!(f.ends_with("coverage=\"100/100 sites\""));
+
+        // Stats off: no digest is claimed, least of all the empty one.
+        let off = provenance_footer("table05", 42, 0xabcd, None, None);
+        assert!(off.ends_with(" telemetry=off"), "{off}");
+        assert!(!off.contains(&format!("{:016x}", Registry::new().snapshot().digest())));
     }
 
     #[test]

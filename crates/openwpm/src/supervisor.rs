@@ -9,8 +9,7 @@
 //! rate, so a crawler that dies (or silently skips) on the first flaky
 //! site produces tables that cannot be trusted.
 //!
-//! [`run_supervised`] reproduces that layer on top of
-//! [`run_parallel`](crate::run_parallel):
+//! [`run_supervised`] reproduces that layer on top of [`run_parallel`]:
 //!
 //! * every visit attempt runs under `catch_unwind`, so a panicking visit
 //!   poisons nothing — the worker's browser state is rebuilt and the site
@@ -353,8 +352,8 @@ where
 /// record `R` down to the stored type `T` before it enters the outcome
 /// vector. Streaming crawls use this to flush each record to disk in
 /// `on_complete` and keep only O(1) bookkeeping in memory — the outcome
-/// vector's resident size becomes O(items × size_of::<T>()), not
-/// O(items × size_of::<R>()). Priors arrive already folded.
+/// vector's resident size becomes `O(items × size_of::<T>())`, not
+/// `O(items × size_of::<R>())`. Priors arrive already folded.
 #[allow(clippy::too_many_arguments)]
 pub fn run_supervised_folding<W, R, T, S>(
     items: Vec<W>,

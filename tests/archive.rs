@@ -1,15 +1,17 @@
-//! Crawl-archive integration: record a scan into a content-addressed
+//! Crawl-archive integration: stream a scan into a content-addressed
 //! bundle, replay the whole pipeline from it, and diff bundles.
 //!
-//! The reproducibility contract under test (ISSUE: paper Sec. 6.3): a
-//! replayed scan must reproduce the recording run's per-site records,
-//! Table 5, crawl history and telemetry digest *byte-for-byte*, at any
-//! worker count; two same-seed recordings must diff clean; and a damaged
-//! bundle must fail loudly, never silently re-measure partial data.
+//! The reproducibility contract under test (paper Sec. 6.3): a replayed
+//! scan must reproduce the recording run's Table 5, crawl history and
+//! telemetry digest, and a plain run's per-site records, *byte-for-byte*,
+//! at any worker count; two same-seed recordings must diff clean; and a
+//! damaged bundle must fail loudly, never silently re-measure partial
+//! data.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use archive::BundleReader;
 use gullible::{diff_bundles, site_visit, ReplayBundle, Scan, ScanConfig};
 use openwpm::FaultPlan;
 use webgen::Population;
@@ -41,7 +43,7 @@ fn record_then_replay_reproduces_run_byte_for_byte() {
 
     gullible::obs::reset();
     gullible::obs::set_stats(true);
-    let recorded = Scan::new(cfg).record(&dir).run().expect("record");
+    let recorded = Scan::new(cfg).stream_to(&dir).run().expect("record");
     let stats = recorded.archive.expect("recording run must report archive stats");
     assert_eq!(stats.sites, 240);
     assert!(stats.blobs_written > 0);
@@ -66,7 +68,8 @@ fn record_then_replay_reproduces_run_byte_for_byte() {
     assert_eq!(replayed.table12(), recorded.table12());
     assert_eq!(replayed.history, recorded.history);
     assert_eq!(replayed.completion, recorded.completion);
-    assert_eq!(replayed.sites, recorded.sites, "per-site records must be identical");
+    let plain = Scan::new(cfg).run().expect("plain scan");
+    assert_eq!(replayed.sites, plain.sites, "per-site records must be identical");
 
     let bundle = ReplayBundle::open(&dir).expect("open");
     assert!(bundle.commit.stats_enabled);
@@ -85,7 +88,8 @@ fn record_then_replay_reproduces_run_byte_for_byte() {
 /// equal the corpus statistics computed independently from the generator
 /// (blobs = unique script bodies, dedup hits = served − unique), and
 /// (b) replay reproduces the per-site records exactly — including runs
-/// with fault weather and budget-interrupted tails.
+/// with fault weather and budget-interrupted first legs that a second,
+/// unbudgeted run resumes.
 #[test]
 fn randomized_scans_roundtrip_with_exact_blob_accounting() {
     let _g = lock();
@@ -100,7 +104,16 @@ fn randomized_scans_roundtrip_with_exact_blob_accounting() {
         };
         let dir = tmp_dir("prop");
 
-        let recorded = Scan::new(cfg).record(&dir).run().expect("record");
+        let budgeted = cfg.visit_budget.is_some();
+        let mut recorded = Scan::new(cfg).stream_to(&dir).run().expect("record");
+        if budgeted {
+            assert!(recorded.archive.is_none(), "a budgeted stream stays unsealed");
+            assert!(recorded.completion.interrupted > 0);
+            recorded = Scan::new(ScanConfig { visit_budget: None, ..cfg })
+                .stream_to(&dir)
+                .run()
+                .expect("resume");
+        }
         let stats = recorded.archive.expect("archive stats");
 
         // Independent corpus statistics straight from the generator.
@@ -117,17 +130,24 @@ fn randomized_scans_roundtrip_with_exact_blob_accounting() {
             }
         }
         assert_eq!(stats.sites as u32, cfg.n_sites);
-        assert_eq!(stats.blobs_written, unique.len() as u64, "blobs = unique script bodies");
-        assert_eq!(stats.dedup_hits, served - unique.len() as u64);
+        let blobs = BundleReader::open(&dir).expect("open").blobs.len();
+        assert_eq!(blobs, unique.len(), "blobs = unique script bodies");
+        if !budgeted {
+            // Counters cover one leg; a single-leg stream put every body.
+            assert_eq!(stats.blobs_written, unique.len() as u64);
+            assert_eq!(stats.dedup_hits, served - unique.len() as u64);
+        }
 
         let replayed = Scan::new(ScanConfig { workers: rng.usize_in(1, 3), ..cfg })
             .replay(&dir)
             .run()
             .expect("replay");
         assert_eq!(replayed.replay.unwrap().divergences, 0);
-        assert_eq!(replayed.sites, recorded.sites);
+        let plain = Scan::new(ScanConfig { visit_budget: None, ..cfg }).run().expect("plain");
+        assert_eq!(replayed.sites, plain.sites);
         assert_eq!(replayed.history, recorded.history);
-        assert_eq!(replayed.completion.interrupted, recorded.completion.interrupted);
+        assert_eq!(replayed.history, plain.history);
+        assert_eq!(replayed.completion.interrupted, 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     });
@@ -140,11 +160,11 @@ fn same_seed_bundles_diff_clean_and_ablations_diff_dirty() {
     let cfg = ScanConfig::new(150, 23);
     let (dir_a, dir_b, dir_c) = (tmp_dir("diff-a"), tmp_dir("diff-b"), tmp_dir("diff-c"));
 
-    Scan::new(cfg).record(&dir_a).run().expect("record a");
-    Scan::new(ScanConfig { workers: 2, ..cfg }).record(&dir_b).run().expect("record b");
+    Scan::new(cfg).stream_to(&dir_a).run().expect("record a");
+    Scan::new(ScanConfig { workers: 2, ..cfg }).stream_to(&dir_b).run().expect("record b");
     // The Sec. 6.3 shape: same sites, different client behaviour.
     Scan::new(ScanConfig { simulate_interaction: true, ..cfg })
-        .record(&dir_c)
+        .stream_to(&dir_c)
         .run()
         .expect("record c");
 
@@ -177,7 +197,7 @@ fn damaged_bundles_fail_loudly() {
     let _g = lock();
     gullible::obs::reset();
     let dir = tmp_dir("damage");
-    Scan::new(ScanConfig::new(25, 5)).record(&dir).run().expect("record");
+    Scan::new(ScanConfig::new(25, 5)).stream_to(&dir).run().expect("record");
     let manifest = dir.join("manifest.gar");
     let pristine = std::fs::read_to_string(&manifest).expect("read manifest");
 
@@ -210,22 +230,18 @@ fn damaged_bundles_fail_loudly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `replay` re-measures a sealed bundle and writes none, so it cannot be
+/// combined with the streaming sink.
 #[test]
 fn replay_and_record_reject_invalid_mode_combinations() {
     let _g = lock();
     let dir = tmp_dir("modes");
-    let cfg = ScanConfig::new(10, 1);
-    let err = Scan::new(cfg).replay(&dir).checkpoint(dir.join("ckpt")).run().unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    let err = Scan::new(cfg).record(&dir).checkpoint(dir.join("ckpt")).run().unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    let err = Scan::new(cfg)
-        .record(dir.join("rec"))
+    let err = Scan::new(ScanConfig::new(10, 1))
+        .stream_to(dir.join("rec"))
         .replay(dir.join("rep"))
         .run()
         .unwrap_err();
-    // Replay wins the dispatch and rejects the combination (no bundle
-    // exists anyway, but the mode check fires first).
+    // The mode check fires before any I/O (no bundle exists anyway).
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!dir.exists(), "a rejected combination must touch nothing");
 }

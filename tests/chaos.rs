@@ -67,10 +67,13 @@ fn fresh_registry() {
     gullible::obs::set_stats(true);
 }
 
+/// A streamed scan is the same experiment as a plain in-memory scan, and
+/// its bundle replays to that plain scan: same per-site records, tables,
+/// history and telemetry digest.
 #[test]
 fn stream_matches_recorded_run_byte_for_byte() {
     let _g = lock();
-    let (sdir, rdir) = (tmp_dir("stream-vs-record"), tmp_dir("stream-vs-record-ref"));
+    let sdir = tmp_dir("stream-vs-plain");
     let cfg = chaos_cfg(180, 11, 4);
 
     fresh_registry();
@@ -86,25 +89,31 @@ fn stream_matches_recorded_run_byte_for_byte() {
         stream.peak_records_in_flight
     );
     assert!(streamed.sites.is_empty(), "streaming keeps no per-site records");
-    assert!(streamed.aggregates.is_some());
 
     fresh_registry();
-    let recorded = Scan::new(cfg).record(&rdir).run().expect("record");
-    let record_fp = fingerprint(&recorded, &rdir);
+    let plain = Scan::new(cfg).run().expect("plain");
+    let plain_digest = gullible::obs::registry().snapshot().digest();
+    fresh_registry();
+    let replayed = Scan::new(cfg).replay(&sdir).run().expect("replay");
+    let replay_digest = gullible::obs::registry().snapshot().digest();
     gullible::obs::reset();
 
-    // A streamed scan is the same experiment as a classic recorded scan:
-    // same tables, same bundle records, same telemetry digest.
-    assert_eq!(stream_fp, record_fp);
-    assert_eq!(streamed.table6(), recorded.table6());
-    assert_eq!(streamed.table12(), recorded.table12());
-    assert_eq!(streamed.rank_buckets(30), recorded.rank_buckets(30));
-    assert_eq!(streamed.category_tallies(), recorded.category_tallies());
-    assert_eq!(streamed.script_stats(), recorded.script_stats());
-    assert_eq!(streamed.inclusion_totals(), recorded.inclusion_totals());
-    assert_eq!(streamed.history, recorded.history);
-    let (a, b) = (ReplayBundle::open(&sdir).unwrap(), ReplayBundle::open(&rdir).unwrap());
-    assert!(diff_bundles(&a, &b).is_clean(), "stream vs record bundles must diff clean");
+    assert_eq!(replayed.replay.expect("replay stats").divergences, 0);
+    assert_eq!(replayed.sites, plain.sites, "the bundle must replay to the plain run's records");
+    assert_eq!(stream_fp.telemetry_digest, plain_digest, "stream vs plain telemetry digest");
+    assert_eq!(replay_digest, plain_digest, "replay vs plain telemetry digest");
+    for (what, other) in [("plain", &plain), ("replay", &replayed)] {
+        assert_eq!(streamed.table5(), other.table5(), "{what}");
+        assert_eq!(streamed.table6(), other.table6(), "{what}");
+        assert_eq!(streamed.table7(), other.table7(), "{what}");
+        assert_eq!(streamed.table12(), other.table12(), "{what}");
+        assert_eq!(streamed.rank_buckets(30), other.rank_buckets(30), "{what}");
+        assert_eq!(streamed.category_tallies(), other.category_tallies(), "{what}");
+        assert_eq!(streamed.script_stats(), other.script_stats(), "{what}");
+        assert_eq!(streamed.inclusion_totals(), other.inclusion_totals(), "{what}");
+        assert_eq!(streamed.completion, other.completion, "{what}");
+        assert_eq!(streamed.history, other.history, "{what}");
+    }
 }
 
 /// The tentpole property: over random (seed, kill-point, worker-count),
@@ -451,24 +460,25 @@ fn cross_corruption_fails_loudly() {
     // 5. A sealed bundle refuses further streaming (re-running the same
     //    command twice must not scribble on finished results).
     fresh_registry();
-    let err =
-        Scan::new(cfg).stream_to(&ref_dir).run().map(|_| ()).unwrap_err().to_string();
+    let err = Scan::new(cfg).stream_to(&ref_dir).run().map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+    assert!(err.to_string().contains("committed"), "sealed bundle must refuse, got: {err}");
+
+    // 6. ...even with no checkpoint beside it (a bundle sealed by a build
+    //    that kept none): nothing vouches for it, yet it is never
+    //    overwritten.
+    std::fs::remove_file(ref_dir.join(STREAM_CHECKPOINT_FILE)).unwrap();
+    let err = Scan::new(cfg).stream_to(&ref_dir).run().map(|_| ()).unwrap_err();
     gullible::obs::reset();
-    assert!(err.contains("committed"), "sealed bundle must refuse, got: {err}");
+    assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists, "{err}");
+    ReplayBundle::open(&ref_dir).expect("the refused bundle is untouched");
 }
 
-/// Mode guards: streaming owns its checkpoint; crash injection requires
-/// streaming.
+/// Mode guard: crash injection requires streaming (kill points live in
+/// the flush path).
 #[test]
 fn stream_mode_guards() {
     let cfg = ScanConfig::new(4, 1);
-    let err = Scan::new(cfg)
-        .stream_to(tmp_dir("guard-a"))
-        .checkpoint(tmp_dir("guard-a-ck"))
-        .run()
-        .map(|_| ())
-        .unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     let err = Scan::new(cfg)
         .inject_crash(CrashPlan::new(KillPoint::AfterVisit(1)))
         .run()

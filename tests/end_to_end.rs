@@ -100,7 +100,7 @@ fn scan_report_internal_consistency() {
     // Bucket series sums to totals.
     let buckets = report.rank_buckets(50);
     let sum: u32 = buckets.iter().map(|b| b[2]).sum();
-    assert_eq!(sum, report.count(|s| s.site.static_true));
+    assert_eq!(sum, report.count(|_, site| site.static_true));
 }
 
 #[test]
