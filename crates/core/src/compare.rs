@@ -15,8 +15,9 @@
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::OnceLock;
 
-use netsim::{Cookie, ResourceType};
+use netsim::{Blocklist, Cookie, ResourceType};
 use openwpm::manager::run_parallel;
 use openwpm::{Browser, BrowserConfig};
 use stats::{ratcliff_obershelp, wilcoxon_signed_rank, WilcoxonResult};
@@ -185,6 +186,13 @@ pub fn run_compare(cfg: CompareConfig) -> CompareReport {
     report
 }
 
+/// EasyList and EasyPrivacy, parsed once per process and shared by every
+/// visit of every worker.
+fn blocklists() -> &'static (Blocklist, Blocklist) {
+    static LISTS: OnceLock<(Blocklist, Blocklist)> = OnceLock::new();
+    LISTS.get_or_init(|| (webgen::blocklists::easylist(), webgen::blocklists::easyprivacy()))
+}
+
 /// Visit one site once with one client.
 pub fn visit_one(
     browser: &mut Browser,
@@ -204,8 +212,7 @@ pub fn visit_one(
         })
         .expect("generated plan URLs always parse");
     let store = browser.take_store();
-    let easylist = webgen::blocklists::easylist();
-    let easyprivacy = webgen::blocklists::easyprivacy();
+    let (easylist, easyprivacy) = blocklists();
     let mut summary = VisitSummary {
         rank: plan.rank,
         flagged: flagged.get(),

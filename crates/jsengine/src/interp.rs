@@ -8,6 +8,7 @@
 //! queued jobs).
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -175,17 +176,18 @@ impl Interp {
     /// Duplicate this realm's object graph into a fresh interpreter.
     ///
     /// The heap, global object and intrinsics are cloned with object ids
-    /// preserved, and the global scope's bindings are copied; all transient
-    /// execution state — call stack, virtual clock, job queue, step count,
-    /// console, PRNG, profiler, host handle — resets to the [`Interp::new`]
-    /// defaults, so a clone behaves exactly like a freshly-built realm.
+    /// preserved. Every closure environment reachable from a script
+    /// function is deep-copied (once per source scope, so closures that
+    /// shared a scope still share its copy) and re-parented onto the
+    /// clone's global scope: mutating a binding in one clone is invisible
+    /// to the source and to every other clone.
     ///
-    /// Script functions closed over the *global* scope are re-bound to the
-    /// clone's global scope; closures over inner scopes keep pointing at
-    /// the original's (shared) environments, so a realm should be cloned
-    /// before running scripts that retain such closures. The intended use
-    /// is a host-object template: install the (purely native) embedder
-    /// surface once, then clone per page.
+    /// The clone continues the source's step count and PRNG state, so
+    /// scripts the source already ran (a pre-installed instrument) stay
+    /// charged against the step budget exactly as if they had run in the
+    /// clone. All other execution state — call stack, virtual clock, job
+    /// queue, console, profiler, host handle — resets to the
+    /// [`Interp::new`] defaults.
     pub fn clone_realm(&self) -> Interp {
         let mut heap = self.heap.clone();
         let gs = self.global_scope.borrow();
@@ -195,11 +197,11 @@ impl Interp {
             this_val: gs.this_val.clone(),
         }));
         drop(gs);
+        let mut copies: HashMap<*const RefCell<Scope>, ScopeRef> = HashMap::new();
+        copies.insert(Rc::as_ptr(&self.global_scope), global_scope.clone());
         for obj in heap.objects_mut() {
             if let Some(Callable::Script { env, .. }) = &mut obj.call {
-                if Rc::ptr_eq(env, &self.global_scope) {
-                    *env = global_scope.clone();
-                }
+                *env = copy_scope(env, &mut copies);
             }
         }
         Interp {
@@ -212,12 +214,23 @@ impl Interp {
             jobs: Vec::new(),
             job_seq: 0,
             step_limit: self.step_limit,
-            steps: 0,
+            steps: self.steps,
             max_depth: self.max_depth,
             console: Vec::new(),
-            rng_state: 0x9E3779B97F4A7C15,
+            rng_state: self.rng_state,
             profiler: None,
             host: None,
+        }
+    }
+
+    /// The scope a script function closes over (`None` for natives and
+    /// non-functions). Object ids survive [`clone_realm`](Interp::clone_realm),
+    /// so an embedder can remember a closure's id in a template realm and
+    /// reach the corresponding (copied) scope in each clone.
+    pub fn closure_env(&self, func: ObjId) -> Option<ScopeRef> {
+        match &self.heap.get(func).call {
+            Some(Callable::Script { env, .. }) => Some(env.clone()),
+            _ => None,
         }
     }
 
@@ -789,6 +802,14 @@ impl Interp {
     /// Install the standard counting profiler (replacing any other).
     pub fn enable_profiling(&mut self) {
         self.profiler = Some(Box::<CountingProfiler>::default());
+    }
+
+    /// Install the counting profiler seeded with `base`, as if it had been
+    /// enabled while the work `base` counts ran in this realm. A realm
+    /// cloned from a template that already ran scripts uses this to report
+    /// the same counts as one that ran them itself.
+    pub fn enable_profiling_from(&mut self, base: &Profile) {
+        self.profiler = Some(Box::new(CountingProfiler::seeded(base)));
     }
 
     /// Remove the profiler and return its aggregated counts.
@@ -1563,6 +1584,28 @@ pub enum ErrorKind {
     Range,
 }
 
+/// Deep-copy `scope` and its parent chain for [`Interp::clone_realm`].
+/// `copies` maps source scopes (by pointer) to their copies, so a scope
+/// shared by several closures is copied once and stays shared; it is
+/// seeded with the global scope's copy, where every chain ends.
+fn copy_scope(
+    scope: &ScopeRef,
+    copies: &mut HashMap<*const RefCell<Scope>, ScopeRef>,
+) -> ScopeRef {
+    if let Some(copy) = copies.get(&Rc::as_ptr(scope)) {
+        return copy.clone();
+    }
+    let src = scope.borrow();
+    let parent = src.parent.as_ref().map(|p| copy_scope(p, copies));
+    let copy = Rc::new(RefCell::new(Scope {
+        vars: src.vars.clone(),
+        parent,
+        this_val: src.this_val.clone(),
+    }));
+    copies.insert(Rc::as_ptr(scope), copy.clone());
+    copy
+}
+
 fn callee_name(e: &Expr) -> String {
     match e {
         Expr::Ident(n, _) => n.to_string(),
@@ -1586,4 +1629,30 @@ pub fn to_uint32(n: f64) -> u32 {
         return 0;
     }
     n.trunc() as i64 as u32
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Clones of a realm that already holds a closure over an inner scope
+    /// must each get their own copy of that scope: the counter starts at
+    /// 0 in every clone, however often the others advanced theirs.
+    #[test]
+    fn clone_realm_isolates_closure_scopes() {
+        let mut src = Interp::new();
+        src.eval_script(
+            "var f = (function(){ var n = 0; return function(){ return ++n; }; })();",
+            "counter",
+        )
+        .unwrap();
+        let mut a = src.clone_realm();
+        let mut b = src.clone_realm();
+        assert_eq!(a.steps, src.steps, "a clone continues the source's step count");
+        assert!(src.steps > 0);
+        assert_eq!(a.eval_script("f()", "t").unwrap(), Value::Num(1.0));
+        assert_eq!(a.eval_script("f()", "t").unwrap(), Value::Num(2.0));
+        assert_eq!(b.eval_script("f()", "t").unwrap(), Value::Num(1.0));
+        assert_eq!(src.eval_script("f()", "t").unwrap(), Value::Num(1.0));
+    }
 }

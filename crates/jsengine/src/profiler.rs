@@ -47,6 +47,16 @@ pub struct CountingProfiler {
     builtins: HashMap<Arc<str>, u64>,
 }
 
+impl CountingProfiler {
+    /// A profiler whose counts start at `base` instead of zero.
+    pub fn seeded(base: &Profile) -> CountingProfiler {
+        CountingProfiler {
+            profile: Profile { builtins: Vec::new(), ..base.clone() },
+            builtins: base.builtins.iter().map(|(n, c)| (Arc::clone(n), *c)).collect(),
+        }
+    }
+}
+
 impl Profiler for CountingProfiler {
     fn record_step(&mut self) {
         self.profile.ops += 1;
@@ -136,6 +146,25 @@ mod interp_tests {
         let p = interp.take_profile().unwrap();
         let upper = p.builtins.iter().find(|(n, _)| &**n == "toUpperCase");
         assert_eq!(upper.map(|(_, c)| *c), Some(2), "builtin calls tallied by name: {p:?}");
+    }
+
+    /// A seeded profiler reports the base plus what ran afterwards, as if
+    /// it had been enabled before the base's work.
+    #[test]
+    fn seeded_profiling_continues_the_base_counts() {
+        let setup = "var s = 'ab'.toUpperCase(); function g() { return 1; } g();";
+        let page = "var t = 'cd'.toUpperCase(); g();";
+        let mut whole = Interp::new();
+        whole.enable_profiling();
+        whole.eval_script(setup, "setup").unwrap();
+        whole.eval_script(page, "page").unwrap();
+        let mut split = Interp::new();
+        split.enable_profiling();
+        split.eval_script(setup, "setup").unwrap();
+        let base = split.take_profile().unwrap();
+        split.enable_profiling_from(&base);
+        split.eval_script(page, "page").unwrap();
+        assert_eq!(split.take_profile(), whole.take_profile());
     }
 
     #[test]

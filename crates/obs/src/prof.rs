@@ -3,9 +3,10 @@
 //! Two instruments, both invisible to the determinism contract:
 //!
 //! * **Phase profiler** — RAII guards ([`enter`]) attribute wall-clock time
-//!   to a fixed tree of pipeline phases (webgen materialise → compile cache
-//!   hit/miss → jsengine interp → detect static/dynamic → archive
-//!   encode/flush, rooted at the scheduler's per-item `visit`). Every phase
+//!   to a fixed tree of pipeline phases (webgen materialise → page
+//!   instantiate → instrument install → compile cache hit/miss → jsengine
+//!   interp → detect static/dynamic → archive encode/flush, rooted at the
+//!   scheduler's per-item `visit`). Every phase
 //!   records a log-bucket histogram (`prof.<name>_us`) and a self-time
 //!   counter (`prof.self.<name>`); in collapsed mode the per-thread stack
 //!   path also accumulates into a flamegraph-style collapsed-stack map.
@@ -71,6 +72,18 @@ phase_def!(
     "prof.webgen.materialise_us",
     "prof.self.webgen.materialise"
 );
+phase_def!(
+    PAGE_INSTANTIATE,
+    "page.instantiate",
+    "prof.page.instantiate_us",
+    "prof.self.page.instantiate"
+);
+phase_def!(
+    INSTRUMENT_INSTALL,
+    "instrument.install",
+    "prof.instrument.install_us",
+    "prof.self.instrument.install"
+);
 phase_def!(COMPILE_HIT, "compile.hit", "prof.compile.hit_us", "prof.self.compile.hit");
 phase_def!(COMPILE_MISS, "compile.miss", "prof.compile.miss_us", "prof.self.compile.miss");
 phase_def!(JS_INTERP, "jsengine.interp", "prof.jsengine.interp_us", "prof.self.jsengine.interp");
@@ -93,6 +106,8 @@ phase_def!(SCHED_STEAL, "sched.steal", "prof.sched.steal_us", "prof.self.sched.s
 pub static PHASES: &[&PhaseDef] = &[
     &VISIT,
     &WEBGEN_MATERIALISE,
+    &PAGE_INSTANTIATE,
+    &INSTRUMENT_INSTALL,
     &COMPILE_HIT,
     &COMPILE_MISS,
     &JS_INTERP,
@@ -109,6 +124,8 @@ pub static PHASES: &[&PhaseDef] = &[
 /// own) partition a visit's wall clock.
 pub static VISIT_PHASES: &[&PhaseDef] = &[
     &WEBGEN_MATERIALISE,
+    &PAGE_INSTANTIATE,
+    &INSTRUMENT_INSTALL,
     &COMPILE_HIT,
     &COMPILE_MISS,
     &JS_INTERP,

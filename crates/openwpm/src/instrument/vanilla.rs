@@ -20,7 +20,7 @@
 use std::rc::Rc;
 
 use browser::{Page, RealmWindow};
-use jsengine::Value;
+use jsengine::{Atom, ObjId, Slot, Value};
 
 use crate::instrument::{originating_script, StoreHandle, INSTRUMENT_SCRIPT_NAME};
 use crate::records::{JsCallRecord, JsOperation};
@@ -218,10 +218,10 @@ pub fn register_sink(page: &mut Page, event_id: String, store: StoreHandle, page
     page.host.borrow_mut().event_sinks.push(sink);
 }
 
-/// Install the vanilla instrument into a page: register the sink, then
-/// inject the script via the DOM (CSP applies!), and arm the *asynchronous*
-/// frame hook that re-runs `getInstrumentJS` in each new frame — on the job
-/// queue, which is the race Listing 3 wins.
+/// Install the vanilla instrument into a page: register the sink and arm
+/// the *asynchronous* frame hook that re-runs `getInstrumentJS` in each new
+/// frame — on the job queue, which is the race Listing 3 wins — then
+/// inject the script via the DOM (CSP applies!).
 ///
 /// Returns `false` when the page's CSP blocked the injection (the page then
 /// runs entirely un-instrumented and a `csp_report` was emitted).
@@ -239,20 +239,62 @@ pub fn install_vintage(
     vintage: InstrumentVintage,
 ) -> bool {
     let id = event_id(seed);
-    register_sink(page, id.clone(), store, page_url);
-    // The injected file splits into a constant body (compiled once per
-    // process via the shared cache) and a per-visit trigger carrying the
-    // event id. Only the DOM injection of the body is CSP-gated — a strict
-    // policy still blocks the instrument and emits exactly one csp_report.
-    let body = instrument_body_vintage(vintage);
-    let injected = match jsengine::compile_cached(&body, INSTRUMENT_SCRIPT_NAME) {
-        Ok(compiled) => page.dom_inject_script(&compiled).is_ok(),
-        Err(_) => false,
-    };
-    if injected {
-        let _ = page.run_script((instrument_trigger(&id, vintage), INSTRUMENT_SCRIPT_NAME));
+    arm(page, id.clone(), store, page_url);
+    inject(page, &id, vintage)
+}
+
+/// Placeholder event id a pre-installed template is built with; every page
+/// cloned from it rebinds `eid` in [`attach`] before any page script runs.
+const TEMPLATE_EVENT_ID: &str = "owpm-template";
+
+/// The page-independent half of [`install`], run once into a page that is
+/// then frozen as a [`browser::PageTemplate`]: inject the (modern) script
+/// with a placeholder event id. Registers no sink and no frame hook.
+///
+/// Returns the `Navigator.prototype.userAgent` wrapper getter, whose
+/// closure reaches the scope that binds `eid` — object ids survive
+/// cloning, so [`attach`] finds the clone's copy of that scope through it.
+/// `None` when the injection failed (a CSP that blocks it), in which case
+/// the page cannot serve as an instrumented template.
+pub fn preinstall(page: &mut Page) -> Option<ObjId> {
+    if !inject(page, TEMPLATE_EVENT_ID, InstrumentVintage::Modern) {
+        return None;
     }
-    // Frame instrumentation: scheduled, not synchronous.
+    let nav_proto = page.top.navigator_proto;
+    match page.interp.heap.get(nav_proto).props.get("userAgent").map(|p| &p.slot) {
+        Some(Slot::Accessor { get: Some(getter), .. }) => Some(*getter),
+        _ => None,
+    }
+}
+
+/// The per-page half of [`install`] for a page cloned from a
+/// [`preinstall`]ed template: bind this visit's event id where the
+/// template's wrappers read it, then register the sink and arm the frame
+/// hook exactly as [`install`] does. The page ends up indistinguishable
+/// from one that ran [`install`] with the same `seed` (only the
+/// `arguments` object of the finished `getInstrumentJS` call still holds
+/// the placeholder; every wrapper has its own `arguments`, so no code can
+/// read it).
+pub fn attach(page: &mut Page, hook: ObjId, seed: u64, store: StoreHandle, page_url: String) {
+    let id = event_id(seed);
+    let eid = Atom::intern("eid");
+    let mut scope = page.interp.closure_env(hook);
+    while let Some(s) = scope {
+        let mut s = s.borrow_mut();
+        if let Some(slot) = s.vars.get_mut(&eid) {
+            *slot = Value::str(&id);
+            break;
+        }
+        scope = s.parent.clone();
+    }
+    arm(page, id, store, page_url);
+}
+
+/// The privileged side shared by [`install`] and [`attach`]: the record
+/// sink for `id`, and the frame hook that re-runs `getInstrumentJS` with
+/// it in each new frame — scheduled, not synchronous.
+fn arm(page: &mut Page, id: String, store: StoreHandle, page_url: String) {
+    register_sink(page, id.clone(), store, page_url);
     let hook: browser::FrameHook = Rc::new(move |it, rw: RealmWindow| {
         let g = Value::Obj(it.global);
         if let Ok(f @ Value::Obj(fid)) = it.get_prop(&g, "getInstrumentJS") {
@@ -262,6 +304,22 @@ pub fn install_vintage(
         }
     });
     page.host.borrow_mut().frame_async_hooks.push(hook);
+}
+
+/// DOM-inject the instrument with event id `id`. The injected file splits
+/// into a constant body (compiled once per process via the shared cache)
+/// and a per-visit trigger carrying the event id. Only the DOM injection
+/// of the body is CSP-gated — a strict policy still blocks the instrument
+/// and emits exactly one csp_report. Returns whether the body went in.
+fn inject(page: &mut Page, id: &str, vintage: InstrumentVintage) -> bool {
+    let body = instrument_body_vintage(vintage);
+    let injected = match jsengine::compile_cached(&body, INSTRUMENT_SCRIPT_NAME) {
+        Ok(compiled) => page.dom_inject_script(&compiled).is_ok(),
+        Err(_) => false,
+    };
+    if injected {
+        let _ = page.run_script((instrument_trigger(id, vintage), INSTRUMENT_SCRIPT_NAME));
+    }
     injected
 }
 

@@ -6,6 +6,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use browser::{CspPolicy, FingerprintProfile, Page, PageTemplate};
+use jsengine::ObjId;
 use netsim::{Cookie, HttpRequest, HttpResponse, ResourceType, Url};
 
 use crate::config::{BrowserConfig, JsInstrumentKind};
@@ -89,12 +90,38 @@ pub struct Browser {
     visit_key: Option<u64>,
     /// Pages opened under the current visit key.
     key_pages: u64,
-    /// Pre-installed page realm, cloned per visit instead of rebuilt.
-    /// Part of the shared compiled-artifact layer: only consulted while
-    /// the process-wide compile cache is enabled, and rebuilt whenever
+    /// Realm templates cloned per visit instead of rebuilt. Part of the
+    /// shared compiled-artifact layer: only consulted while the
+    /// process-wide compile cache is enabled, and rebuilt whenever
     /// [`Browser::instance`] changes (the profile depends on it).
-    template: Option<PageTemplate>,
-    template_instance: u32,
+    templates: Option<Templates>,
+}
+
+/// One browser instance's realm templates.
+struct Templates {
+    instance: u32,
+    /// The host-object surface only: pages whose instrument installs per
+    /// page (CSP-blocked vanilla, stealth, off).
+    plain: PageTemplate,
+    /// `plain` with the vanilla instrument pre-installed, and the wrapper
+    /// getter [`vanilla::attach`] rebinds the event id through. Built on
+    /// the first page that can use it.
+    vanilla: Option<(PageTemplate, ObjId)>,
+}
+
+impl Templates {
+    fn vanilla(&mut self) -> &(PageTemplate, ObjId) {
+        let plain = &self.plain;
+        self.vanilla.get_or_insert_with(|| {
+            let url = Url::parse("https://template.invalid/").expect("placeholder URL parses");
+            let mut page = plain.instantiate(url, None);
+            // Count the install once, so every instance can report it.
+            page.enable_profiling();
+            let hook = vanilla::preinstall(&mut page)
+                .expect("the vanilla instrument installs into a CSP-free page");
+            (PageTemplate::from_page(page), hook)
+        })
+    }
 }
 
 impl Browser {
@@ -106,8 +133,7 @@ impl Browser {
             visits: 0,
             visit_key: None,
             key_pages: 0,
-            template: None,
-            template_instance: 0,
+            templates: None,
         }
     }
 
@@ -155,19 +181,42 @@ impl Browser {
     pub fn open_page(&mut self, spec: &VisitSpec) -> Result<(Page, VisitStats), FailureReason> {
         self.visits += 1;
         let url = Url::parse(&spec.url).ok_or(FailureReason::BadUrl)?;
-        let mut page = if jsengine::cache_enabled() {
-            // Shared-artifact path: clone the per-instance realm template.
-            if self.template.is_none() || self.template_instance != self.instance {
-                self.template = Some(PageTemplate::new(self.profile()));
-                self.template_instance = self.instance;
+        // A vanilla page whose CSP admits the injection is a clone of the
+        // pre-installed template; every other page installs its instrument
+        // itself (CSP-blocked pages must still fail the injection).
+        let preinstall = self.config.js_instrument == JsInstrumentKind::Vanilla
+            && !spec.csp.as_ref().is_some_and(|c| c.blocks_inline_scripts);
+        let instantiate = obs::prof::enter(&obs::prof::PAGE_INSTANTIATE);
+        let (mut page, hook) = if jsengine::cache_enabled() {
+            // Shared-artifact path: clone a per-instance realm template.
+            if self.templates.as_ref().is_none_or(|t| t.instance != self.instance) {
+                self.templates = Some(Templates {
+                    instance: self.instance,
+                    plain: PageTemplate::new(self.profile()),
+                    vanilla: None,
+                });
             }
-            let tpl = self.template.as_ref().expect("template built above");
-            tpl.instantiate(url.clone(), spec.csp.clone())
+            let templates = self.templates.as_mut().expect("templates built above");
+            if preinstall {
+                let (tpl, hook) = templates.vanilla();
+                let mut page = tpl.instantiate(url.clone(), spec.csp.clone());
+                if obs::enabled() {
+                    let setup = tpl.setup_profile().expect("the pre-install was profiled");
+                    page.interp.enable_profiling_from(setup);
+                }
+                (page, Some(*hook))
+            } else {
+                (templates.plain.instantiate(url.clone(), spec.csp.clone()), None)
+            }
         } else {
             // Ablation path (`--no-compile-cache`): rebuild the realm from
             // scratch for every page, like the pre-cache pipeline did.
-            Page::new(self.profile(), url.clone(), spec.csp.clone())
+            (Page::new(self.profile(), url.clone(), spec.csp.clone()), None)
         };
+        if obs::enabled() && hook.is_none() {
+            page.enable_profiling();
+        }
+        drop(instantiate);
         for (rurl, ctype, body) in &spec.server_resources {
             page.add_server_resource(rurl, ctype, body);
         }
@@ -186,15 +235,17 @@ impl Browser {
             }
             None => self.config.seed ^ self.visits.wrapping_mul(0x9E37_79B9),
         };
-        if obs::enabled() {
-            page.enable_profiling();
-        }
-        let instrumented = match self.config.js_instrument {
-            JsInstrumentKind::Off => true,
-            JsInstrumentKind::Vanilla => {
+        let _install = obs::prof::enter(&obs::prof::INSTRUMENT_INSTALL);
+        let instrumented = match (self.config.js_instrument, hook) {
+            (JsInstrumentKind::Off, _) => true,
+            (JsInstrumentKind::Vanilla, Some(hook)) => {
+                vanilla::attach(&mut page, hook, visit_seed, self.store.clone(), page_url.clone());
+                true
+            }
+            (JsInstrumentKind::Vanilla, None) => {
                 vanilla::install(&mut page, visit_seed, self.store.clone(), page_url.clone())
             }
-            JsInstrumentKind::Stealth => {
+            (JsInstrumentKind::Stealth, _) => {
                 stealth::install(
                     &mut page,
                     &self.config.stealth,

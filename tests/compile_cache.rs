@@ -10,8 +10,10 @@
 
 use std::sync::{Arc, Mutex, PoisonError};
 
+use browser::CspPolicy;
 use gullible::obs;
 use gullible::scan::{Scan, ScanConfig};
+use openwpm::{Browser, BrowserConfig, PageScript, SiteResponse, VisitSpec};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -48,6 +50,136 @@ fn cache_is_invisible_to_results_and_telemetry() {
         digest_on, digest_off,
         "telemetry digest differs: {digest_on:016x} (cache) vs {digest_off:016x} (no cache)"
     );
+}
+
+fn page(csp: Option<CspPolicy>, scripts: &[&str]) -> VisitSpec {
+    VisitSpec {
+        url: "https://victim.test/shop".into(),
+        csp,
+        scripts: scripts
+            .iter()
+            .enumerate()
+            .map(|(i, src)| PageScript {
+                url: format!("https://victim.test/s{i}.js"),
+                source: Arc::from(*src),
+                content_type: "text/javascript".into(),
+            })
+            .collect(),
+        dwell_override_s: Some(2),
+        ..Default::default()
+    }
+}
+
+/// Pages covering everything a page can observe of the vanilla
+/// instrument; each beacons what it saw, so the traffic carries it.
+fn instrument_probe_specs() -> Vec<VisitSpec> {
+    let probe = "navigator.userAgent; screen.width; document.createElement('div'); \
+                 navigator.sendBeacon('/seen?n=' + navigator.platform.length);";
+    let hijack = detect::corpus::dispatcher_hijack_attack();
+    let fake = detect::corpus::fake_data_injection_attack("https://innocent.example/app.js");
+    vec![
+        // Plain page, and one whose CSP admits the injection.
+        page(None, &[probe]),
+        page(Some(CspPolicy::permissive()), &[probe]),
+        // Strict CSP: the injection fails and a csp_report goes out.
+        page(Some(CspPolicy::strict("/csp-report")), &[probe]),
+        // Listing 2: hijack the dispatcher with the grabbed event id (beaconed,
+        // so a stale template id would show), then probe; and fake records.
+        page(
+            None,
+            &[&hijack, "navigator.sendBeacon('/id?' + window.__owpmBlockedId);", probe],
+        ),
+        page(None, &[&fake]),
+        // Listing 3: an immediate in-frame access races the scheduled
+        // injection; a delayed one runs after it.
+        page(
+            None,
+            &["var f1 = document.createElement('iframe'); document.body.appendChild(f1); \
+               f1.contentWindow.navigator.userAgent; \
+               var f2 = document.createElement('iframe'); document.body.appendChild(f2); \
+               setTimeout(function () { f2.contentWindow.navigator.userAgent; }, 100);"],
+        ),
+        // Wrapper source, wrapper stack frames and prototype pollution.
+        page(
+            None,
+            &["var ts = document.createElement.toString(); var st = ''; \
+               try { throw new Error('probe'); } catch (e) { st = '' + e.stack; } \
+               var own = Object.getOwnPropertyNames(Document.prototype).join(','); \
+               navigator.sendBeacon('/probe?ts=' + ts.length + '&st=' + st + '&own=' + own);"],
+        ),
+        // The watched OpenWPM properties (recorded by the scanner config).
+        page(
+            None,
+            &["navigator.sendBeacon('/watch?g=' + typeof window.getInstrumentJS + \
+               '&j=' + window.jsInstruments + '&i=' + ('instrumentFingerprintingApis' in window));"],
+        ),
+    ]
+}
+
+/// Everything a crawl can record of `specs` under one cache setting: per
+/// config, the `VisitStats` and `RecordStore` of `Browser::visit`, then
+/// (through `open_page`) each script's result, the page traffic and the
+/// interpreter profile, and finally the telemetry digest. A runaway loop
+/// runs on the `open_page` leg only, with the page's step budget cut to
+/// keep debug runs short: the install's steps count against it, so the
+/// loop's op count shows whether a pre-installed page was charged for them.
+fn crawl_outcome(specs: &[VisitSpec], cache_on: bool) -> Vec<String> {
+    obs::reset();
+    obs::set_stats(true);
+    jsengine::set_cache_enabled(cache_on);
+    let runaway = page(None, &["var i = 0; while (true) { i++; }"]);
+    let mut out = Vec::new();
+    for config in [BrowserConfig::vanilla(5), BrowserConfig::scanner(5)] {
+        let mut b = Browser::new(config.clone());
+        for (key, spec) in specs.iter().enumerate() {
+            b.set_visit_key(key as u64);
+            let stats = b.visit(spec, |_| SiteResponse::default()).expect("URL parses");
+            out.push(format!("visit {key}: {stats:?}"));
+        }
+        out.push(format!("visit store: {:?}", b.take_store()));
+        let mut b = Browser::new(config);
+        for (key, spec) in specs.iter().chain([&runaway]).enumerate() {
+            b.set_visit_key(key as u64);
+            let (mut page, stats) = b.open_page(spec).expect("URL parses");
+            page.interp.step_limit = 200_000;
+            for script in &spec.scripts {
+                let r = page.run_script((&*script.source, script.url.as_str()));
+                out.push(format!("page {key} {}: {r:?}", script.url));
+            }
+            page.advance(2_000);
+            out.push(format!(
+                "page {key}: {stats:?} {:?} {:?}",
+                page.traffic(),
+                page.take_profile()
+            ));
+        }
+        out.push(format!("page store: {:?}", b.take_store()));
+    }
+    out.push(format!("digest {:016x}", obs::registry().snapshot().digest()));
+    out
+}
+
+/// A vanilla page cloned from the pre-installed template (cache on) must
+/// be indistinguishable from one that ran the install itself (cache off):
+/// same records, traffic, stats, script results and interpreter profile,
+/// including on pages whose scripts attack the instrument.
+#[test]
+fn preinstalled_pages_match_per_page_installs() {
+    let _g = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let specs = instrument_probe_specs();
+    let on = crawl_outcome(&specs, true);
+    let off = crawl_outcome(&specs, false);
+    obs::reset();
+    jsengine::set_cache_enabled(true);
+    assert_eq!(on.len(), off.len());
+    for (a, b) in on.iter().zip(&off) {
+        assert_eq!(a, b, "pre-installed page (left) differs from a per-page install (right)");
+    }
+    // The probes really exercised the instrument: the hijack beaconed a
+    // per-page event id, and the loop hit the budget.
+    assert!(on.iter().any(|l| l.contains("/id") && l.contains("owpm")));
+    assert!(!on.iter().any(|l| l.contains("owpm-template")));
+    assert!(on.iter().any(|l| l.contains("Budget")));
 }
 
 /// Hammer the cache from many threads: every thread compiling the same
